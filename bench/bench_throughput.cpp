@@ -20,7 +20,7 @@ core::TrialStats trial(double load, std::size_t frame_size,
   core::OsntDevice osnt{eng};
   dut::LegacySwitchConfig cfg;
   cfg.lookup_rate_mpps = lookup_mpps;
-  dut::LegacySwitch sw{dut::GraphWired{}, eng, cfg};
+  dut::LegacySwitch sw{eng, cfg};
   hw::connect(osnt.port(0), sw.port(0));
   hw::connect(osnt.port(1), sw.port(1));
   {

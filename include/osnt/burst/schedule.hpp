@@ -1,11 +1,11 @@
 // BurstSchedule: the batched (MoonGen-style) precomputation behind
 // burst::BurstSourceBlock. The whole envelope over a horizon is rendered
-// up front into SoA frame-metadata arrays — per-frame departure offsets,
-// wire lengths, and flow ids — partitioned into Bursts, each of which the
-// source emits from ONE engine event. Precomputing the schedule is what
-// keeps the hot path free of per-frame closures and the result seedable:
-// the same (config, horizon) always yields byte-identical frame metadata,
-// independent of emission batching or `--jobs`.
+// up front into SoA frame-metadata arrays — per-frame departure offsets
+// and flow ids — partitioned into Bursts, each of which the source emits
+// from ONE engine event. Precomputing the schedule is what keeps the hot
+// path free of per-frame closures and the result seedable: the same
+// (config, horizon) always yields byte-identical frame metadata,
+// independent of `--jobs`.
 #pragma once
 
 #include <cstdint>
@@ -47,10 +47,6 @@ class BurstSchedule {
   [[nodiscard]] const std::vector<Picos>& offsets() const noexcept {
     return offsets_;
   }
-  /// Wire length incl. FCS.
-  [[nodiscard]] const std::vector<std::uint16_t>& lengths() const noexcept {
-    return lengths_;
-  }
   /// Template index in [0, cfg.template_count()).
   [[nodiscard]] const std::vector<std::uint32_t>& flow_ids() const noexcept {
     return flow_ids_;
@@ -68,16 +64,14 @@ class BurstSchedule {
   void build_strobe();
   void build_heavy_tail();
   void build_amplification();
-  /// Append one burst of `count` back-to-back `frame_size` frames at
-  /// `start`, drawing flow ids from `rng`; enforces kMaxFrames.
-  void append_burst(Picos start, std::size_t count, std::size_t frame_size,
-                    Rng& rng);
+  /// Append one burst of `count` back-to-back frames at `start`, drawing
+  /// flow ids from `rng`; enforces kMaxFrames.
+  void append_burst(Picos start, std::size_t count, Rng& rng);
 
   PatternConfig cfg_;
   Picos horizon_;
   std::vector<Burst> bursts_;
   std::vector<Picos> offsets_;
-  std::vector<std::uint16_t> lengths_;
   std::vector<std::uint32_t> flow_ids_;
   std::uint64_t total_wire_bytes_ = 0;
 };

@@ -1,13 +1,8 @@
 // BurstSourceBlock: a graph source that plays a BurstSchedule into the
-// dataplane. Two emission modes share one schedule, so their frame
-// streams are byte- and time-identical:
-//
-//   batched (default)  ONE engine event per Burst; the handler walks the
-//                      SoA range cloning prebuilt per-flow template
-//                      packets — the MoonGen-style hot path
-//   naive              one engine event per frame, each crafting its
-//                      packet from scratch — the reference baseline the
-//                      BENCH_engine.json `burst_pps` gate measures against
+// dataplane, MoonGen-style: ONE engine event per Burst, whose handler
+// walks the schedule's SoA range cloning prebuilt per-flow template
+// packets. The BENCH_engine.json `burst_pps` gate measures it against a
+// recorded per-frame baseline (tools/bench_engine_snapshot.sh).
 //
 // Frames leave with tx_truth/tx_start at their scheduled departure and a
 // serialization window at the pattern rate, exactly the TxPipeline
@@ -27,7 +22,6 @@ namespace osnt::burst {
 
 struct BurstSourceConfig {
   PatternConfig pattern;
-  bool batched = true;
   /// Schedule length. The topology loader fills this from the run
   /// duration when the JSON leaves it unset; start() throws without one.
   Picos horizon = 0;
@@ -65,8 +59,8 @@ class BurstSourceBlock final : public graph::Block {
     return wire_bytes_;
   }
 
-  /// The frame a schedule slot produces, independent of emission mode:
-  /// template `flow_id` padded to `frame_size`. Exposed for tests.
+  /// The frame a schedule slot produces: template `flow_id` padded to
+  /// `frame_size`. Exposed for tests.
   [[nodiscard]] static net::Packet make_frame(const PatternConfig& cfg,
                                               std::uint32_t flow_id,
                                               std::size_t frame_size);
@@ -74,12 +68,10 @@ class BurstSourceBlock final : public graph::Block {
  private:
   void arm_burst(std::size_t burst_idx);
   void emit_burst(std::size_t burst_idx);
-  void arm_frame(std::size_t burst_idx, std::size_t offset_in_burst);
-  void emit_one(std::size_t frame_idx, Picos burst_start);
 
   BurstSourceConfig cfg_;
   std::unique_ptr<BurstSchedule> sched_;
-  std::vector<net::Packet> templates_;  ///< batched mode, one per flow id
+  std::vector<net::Packet> templates_;  ///< one per flow id
   Picos origin_ = 0;
   std::uint64_t next_id_ = 1;
   std::uint64_t bursts_ = 0;

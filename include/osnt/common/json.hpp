@@ -55,7 +55,13 @@ struct Value {
   [[nodiscard]] std::string where() const;
 };
 
-/// Parse a complete JSON document (trailing content is an error).
+/// Deepest array/object nesting parse() accepts. The reader recurses
+/// once per level, so unbounded nesting would overflow the stack on a
+/// hostile document; real inputs nest a handful of levels.
+inline constexpr std::size_t kMaxDepth = 128;
+
+/// Parse a complete JSON document (trailing content is an error; so is
+/// nesting deeper than kMaxDepth).
 /// `context` prefixes error messages, e.g. "topology JSON".
 [[nodiscard]] Value parse(const std::string& text,
                           const std::string& context = "JSON");

@@ -102,7 +102,6 @@ struct WorkloadSpec {
   // --- burst (graph-native: a burst_source named "burst_workload" is
   // emplaced at `ingress` and a "burst_sink" behind `egress`) ---
   burst::PatternConfig burst{};
-  bool burst_batched = true;
 };
 
 /// A parsed, validated topology file. Pure data until build() is called.
@@ -148,7 +147,7 @@ struct TopologyTrialReport {
   /// Meaningful when workload.kind == kBurst.
   struct BurstReport {
     std::uint64_t frames = 0;    ///< frames the burst_workload source emitted
-    std::uint64_t bursts = 0;    ///< emission events (batched: one per burst)
+    std::uint64_t bursts = 0;    ///< emission events (one per burst)
     std::uint64_t tx_bytes = 0;  ///< wire bytes emitted (incl. FCS)
     std::uint64_t rx_frames = 0; ///< frames that reached burst_sink
     std::uint64_t rx_bytes = 0;

@@ -53,14 +53,6 @@ struct WorkloadConfig {
   /// (schedule_bulk_*). false = heap-only; firing order and kSimOnly
   /// telemetry are identical either way (DESIGN.md §12).
   bool wheel_timers = true;
-  /// Benchmark baseline: reproduce the pre-§12 hot path — heap-only
-  /// timers, an eager delayed-ACK cancel on every ACK sent, and
-  /// unconditional frame serialization (no drop-early admission probe).
-  /// This is the baseline the flows-per-wall-second speedup gate in
-  /// BENCH_tcp.json compares against. Not byte-identical to the default
-  /// path (lazy delack timers may deliver an ACK slightly earlier);
-  /// wheel_timers is the knob for byte-identical A/B.
-  bool legacy_hot_path = false;
   /// Arm the per-flow R-TCP-style RateLimitDetector (DESIGN.md §15).
   /// Off by default; off is byte-identical to pre-detector builds.
   bool rate_limit_detector = false;
@@ -145,6 +137,31 @@ struct ReceiverCold {
   std::uint64_t below_window_segs = 0;  ///< spurious-retransmit arrivals
 };
 
+/// Aggregate result of one closed-loop trial (the unit osnt_run tcp,
+/// tests, and the bench all shard through core::Runner).
+struct TcpTrialReport {
+  std::uint64_t bytes_acked = 0;
+  std::uint64_t segs_sent = 0;
+  std::uint64_t retransmits = 0;
+  std::uint64_t rto_fires = 0;
+  std::uint64_t fast_retx = 0;
+  std::uint64_t cwnd_reductions = 0;
+  std::uint64_t acks_sent = 0;
+  std::uint64_t queue_drops = 0;
+  std::uint64_t emit_rejects = 0;
+  double goodput_bps = 0.0;
+  double min_flow_rate_bps = 0.0;  ///< slowest flow's delivery-rate sample
+  double max_flow_rate_bps = 0.0;
+  // Rate-limit detector aggregates (0 when the detector is off).
+  std::uint64_t rld_detections = 0;
+  double rld_rate_bps = 0.0;       ///< mean detected rate across flows
+  Picos rld_detect_time = 0;       ///< mean first-sample→detect latency
+  // In-plane RTT summary (from the workload's tcp.rtt probe): p99 and
+  // the observed floor, so callers can report queueing inflation.
+  double rtt_p99_ns = 0.0;
+  double rtt_min_ns = 0.0;
+};
+
 class ClosedLoopWorkload {
  public:
   /// Reconfigures `tx_port`'s generator pipeline, installs monitor taps
@@ -200,6 +217,8 @@ class ClosedLoopWorkload {
   }
   /// Application goodput (cum-acked bytes) over `window`, in bits/s.
   [[nodiscard]] double goodput_bps(Picos window) const;
+  /// Aggregate the trial counters; `window` scales the goodput figure.
+  [[nodiscard]] TcpTrialReport report(Picos window) const;
 
   // --- rate-limit detector aggregates (all 0 when the detector is off) ---
   [[nodiscard]] std::uint64_t total_rld_detections() const;
@@ -229,31 +248,6 @@ class ClosedLoopWorkload {
   mon::LatencyProbe rtt_probe_;
 };
 
-/// Aggregate result of one closed-loop trial (the unit osnt_run tcp,
-/// tests, and the bench all shard through core::Runner).
-struct TcpTrialReport {
-  std::uint64_t bytes_acked = 0;
-  std::uint64_t segs_sent = 0;
-  std::uint64_t retransmits = 0;
-  std::uint64_t rto_fires = 0;
-  std::uint64_t fast_retx = 0;
-  std::uint64_t cwnd_reductions = 0;
-  std::uint64_t acks_sent = 0;
-  std::uint64_t queue_drops = 0;
-  std::uint64_t emit_rejects = 0;
-  double goodput_bps = 0.0;
-  double min_flow_rate_bps = 0.0;  ///< slowest flow's delivery-rate sample
-  double max_flow_rate_bps = 0.0;
-  // Rate-limit detector aggregates (0 when the detector is off).
-  std::uint64_t rld_detections = 0;
-  double rld_rate_bps = 0.0;       ///< mean detected rate across flows
-  Picos rld_detect_time = 0;       ///< mean first-sample→detect latency
-  // In-plane RTT summary (from the workload's tcp.rtt probe): p99 and
-  // the observed floor, so callers can report queueing inflation.
-  double rtt_p99_ns = 0.0;
-  double rtt_min_ns = 0.0;
-};
-
 /// A complete closed-loop testbed: engine + device + cabled port pair +
 /// workload (+ optional armed fault plan). Exists so callers that care
 /// about wall time — the benchmarks, the 100k-flow CLI smoke — can split
@@ -269,7 +263,9 @@ class ClosedLoopTestbed {
   void run_until(Picos until);
 
   /// Aggregate the trial counters; `window` scales the goodput figure.
-  [[nodiscard]] TcpTrialReport report(Picos window) const;
+  [[nodiscard]] TcpTrialReport report(Picos window) const {
+    return workload_->report(window);
+  }
 
   [[nodiscard]] sim::Engine& engine() { return eng_; }
   [[nodiscard]] ClosedLoopWorkload& workload() { return *workload_; }

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "osnt/net/packet.hpp"
-
 namespace osnt::burst {
 
 namespace {
@@ -33,7 +31,7 @@ BurstSchedule::BurstSchedule(const PatternConfig& cfg, Picos horizon)
     case Pattern::kHeavyTail: build_heavy_tail(); break;
     case Pattern::kAmplification: build_amplification(); break;
   }
-  // Invariant emission modes rely on: frame departures strictly increase
+  // Invariant emission relies on: frame departures strictly increase
   // across bursts (you cannot emit above line rate). A pattern that
   // overruns its period is a config error, not wraparound.
   const Picos slot = cfg_.slot();
@@ -50,24 +48,21 @@ BurstSchedule::BurstSchedule(const PatternConfig& cfg, Picos horizon)
   }
 }
 
-void BurstSchedule::append_burst(Picos start, std::size_t count,
-                                 std::size_t frame_size, Rng& rng) {
+void BurstSchedule::append_burst(Picos start, std::size_t count, Rng& rng) {
   if (count == 0) return;
   if (total_frames() + count > kMaxFrames) {
     throw BurstError("burst: schedule exceeds " +
                      std::to_string(kMaxFrames) +
                      " frames — shorten the horizon or lower the rate");
   }
-  const Picos slot = net::serialization_time(
-      frame_size + net::kEthPerFrameOverhead, cfg_.rate_gbps);
+  const Picos slot = cfg_.slot();
   const std::size_t ntmpl = cfg_.template_count();
   bursts_.push_back({start, offsets_.size(), count});
   for (std::size_t i = 0; i < count; ++i) {
     offsets_.push_back(static_cast<Picos>(i) * slot);
-    lengths_.push_back(static_cast<std::uint16_t>(frame_size));
     flow_ids_.push_back(
         static_cast<std::uint32_t>(rng.uniform_int(0, ntmpl - 1)));
-    total_wire_bytes_ += frame_size;
+    total_wire_bytes_ += cfg_.frame_size;
   }
 }
 
@@ -81,14 +76,14 @@ void BurstSchedule::build_on_off() {
   const std::size_t per_burst = std::max<std::size_t>(
       1, static_cast<std::size_t>(on_window / slot));
   for (Picos t = 0; t < horizon_; t += cfg_.period) {
-    append_burst(t, per_burst, cfg_.frame_size, rng);
+    append_burst(t, per_burst, rng);
   }
 }
 
 void BurstSchedule::build_strobe() {
   Rng rng(cfg_.seed);
   for (Picos t = 0; t < horizon_; t += cfg_.period) {
-    append_burst(t, cfg_.pulse_frames, cfg_.frame_size, rng);
+    append_burst(t, cfg_.pulse_frames, rng);
   }
 }
 
@@ -104,7 +99,7 @@ void BurstSchedule::build_heavy_tail() {
         x * static_cast<double>(cfg_.mean_on));
     const std::size_t frames =
         std::max<std::size_t>(1, static_cast<std::size_t>(on / slot));
-    append_burst(t, frames, cfg_.frame_size, rng);
+    append_burst(t, frames, rng);
     const auto off = static_cast<Picos>(
         rng.exponential(static_cast<double>(cfg_.mean_off)));
     t += static_cast<Picos>(frames) * slot + std::max<Picos>(off, slot);
@@ -141,7 +136,6 @@ void BurstSchedule::build_amplification() {
       bursts_.push_back({t + v, offsets_.size(), volley_frames});
       for (std::size_t i = 0; i < volley_frames; ++i) {
         offsets_.push_back(static_cast<Picos>(i) * slot);
-        lengths_.push_back(static_cast<std::uint16_t>(cfg_.frame_size));
         flow_ids_.push_back(attacker);
         total_wire_bytes_ += cfg_.frame_size;
       }

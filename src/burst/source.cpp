@@ -74,42 +74,19 @@ void BurstSourceBlock::start() {
   }
   sched_ = std::make_unique<BurstSchedule>(cfg_.pattern, cfg_.horizon);
   origin_ = now();
-  if (cfg_.batched) {
-    const std::size_t n = cfg_.pattern.template_count();
-    templates_.clear();
-    templates_.reserve(n);
-    for (std::size_t f = 0; f < n; ++f) {
-      templates_.push_back(make_frame(
-          cfg_.pattern, static_cast<std::uint32_t>(f), cfg_.pattern.frame_size));
-    }
+  const std::size_t n = cfg_.pattern.template_count();
+  templates_.clear();
+  templates_.reserve(n);
+  for (std::size_t f = 0; f < n; ++f) {
+    templates_.push_back(make_frame(
+        cfg_.pattern, static_cast<std::uint32_t>(f), cfg_.pattern.frame_size));
   }
-  if (sched_->bursts().empty()) return;
-  if (cfg_.batched) {
-    arm_burst(0);
-  } else {
-    arm_frame(0, 0);
-  }
+  if (!sched_->bursts().empty()) arm_burst(0);
 }
 
 void BurstSourceBlock::on_frame(std::size_t /*in_port*/, net::Packet /*pkt*/,
                                 Picos /*first_bit*/, Picos /*last_bit*/) {
   count_drop();  // sources take no input
-}
-
-void BurstSourceBlock::emit_one(std::size_t frame_idx, Picos burst_start) {
-  const Picos tx_start = burst_start + sched_->offsets()[frame_idx];
-  const std::uint32_t flow = sched_->flow_ids()[frame_idx];
-  const std::size_t len = sched_->lengths()[frame_idx];
-  // Batched: clone the prebuilt template (the MoonGen hot path). Naive:
-  // craft the identical frame from scratch, per frame — the baseline.
-  net::Packet pkt = cfg_.batched ? templates_[flow]
-                                 : make_frame(cfg_.pattern, flow, len);
-  pkt.id = next_id_++;
-  pkt.tx_truth = tx_start;
-  wire_bytes_ += pkt.wire_len();
-  const Picos air =
-      net::serialization_time(pkt.line_len(), cfg_.pattern.rate_gbps);
-  emit(0, std::move(pkt), tx_start, tx_start + air);
 }
 
 void BurstSourceBlock::arm_burst(std::size_t burst_idx) {
@@ -120,31 +97,22 @@ void BurstSourceBlock::arm_burst(std::size_t burst_idx) {
 
 void BurstSourceBlock::emit_burst(std::size_t burst_idx) {
   // ONE event per burst: walk the SoA slice, future-dating each frame's
-  // serialization window. Downstream Links schedule deliveries at the
-  // same last-bit instants naive per-frame emission produces, so the two
-  // modes are indistinguishable on the wire.
+  // serialization window. Downstream Links schedule deliveries at each
+  // frame's scheduled last-bit instant, exactly as if every frame had
+  // its own emission event.
   const Burst& b = sched_->bursts()[burst_idx];
-  const Picos start = origin_ + b.start;
-  for (std::size_t i = 0; i < b.count; ++i) emit_one(b.first + i, start);
+  for (std::size_t i = b.first; i < b.first + b.count; ++i) {
+    const Picos tx_start = origin_ + b.start + sched_->offsets()[i];
+    net::Packet pkt = templates_[sched_->flow_ids()[i]];
+    pkt.id = next_id_++;
+    pkt.tx_truth = tx_start;
+    wire_bytes_ += pkt.wire_len();
+    const Picos air =
+        net::serialization_time(pkt.line_len(), cfg_.pattern.rate_gbps);
+    emit(0, std::move(pkt), tx_start, tx_start + air);
+  }
   ++bursts_;
   if (burst_idx + 1 < sched_->bursts().size()) arm_burst(burst_idx + 1);
-}
-
-void BurstSourceBlock::arm_frame(std::size_t burst_idx,
-                                 std::size_t offset_in_burst) {
-  const Burst& b = sched_->bursts()[burst_idx];
-  const Picos when = origin_ + b.start + sched_->offsets()[b.first + offset_in_burst];
-  const sim::Engine::CategoryScope cat(engine(), sim::EventCategory::kGen);
-  engine().schedule_at(when, [this, burst_idx, offset_in_burst] {
-    const Burst& cur = sched_->bursts()[burst_idx];
-    emit_one(cur.first + offset_in_burst, origin_ + cur.start);
-    if (offset_in_burst + 1 < cur.count) {
-      arm_frame(burst_idx, offset_in_burst + 1);
-    } else {
-      ++bursts_;
-      if (burst_idx + 1 < sched_->bursts().size()) arm_frame(burst_idx + 1, 0);
-    }
-  });
 }
 
 }  // namespace osnt::burst

@@ -76,9 +76,15 @@ class Parser {
     if (p_ == end_) fail("unexpected end of input");
     switch (*p_) {
       case '{':
-        return object();
-      case '[':
-        return array();
+      case '[': {
+        if (depth_ == kMaxDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+        }
+        ++depth_;
+        Value v = *p_ == '{' ? object() : array();
+        --depth_;
+        return v;
+      }
       case '"': {
         Value v;
         stamp(v);
@@ -231,6 +237,7 @@ class Parser {
   const char* end_;
   const char* begin_;
   const std::string& context_;
+  std::size_t depth_ = 0;
 };
 
 }  // namespace

@@ -287,9 +287,7 @@ BlockSpec parse_block(const Json& b, std::size_t i) {
     spec.monitor.rtt_probe =
         bool_or(b, "rtt_probe", spec.monitor.rtt_probe, who2);
   } else if (spec.type == "burst_source") {
-    spec.burst.pattern =
-        parse_burst_pattern(b, {"name", "type", "batched"}, who2);
-    spec.burst.batched = bool_or(b, "batched", spec.burst.batched, who2);
+    spec.burst.pattern = parse_burst_pattern(b, {"name", "type"}, who2);
     spec.num_inputs = 0;
   } else if (spec.type == "legacy_switch") {
     check_keys(b,
@@ -365,9 +363,7 @@ WorkloadSpec parse_workload(const Json& w) {
         count_or(w, "flows", spec.flow_count, who));
   } else if (kind == "burst") {
     spec.kind = WorkloadSpec::Kind::kBurst;
-    spec.burst = parse_burst_pattern(
-        w, {"kind", "ingress", "egress", "batched"}, who);
-    spec.burst_batched = bool_or(w, "batched", spec.burst_batched, who);
+    spec.burst = parse_burst_pattern(w, {"kind", "ingress", "egress"}, who);
   } else {
     const std::vector<std::string> kinds = {"none", "tcp", "cbr", "burst"};
     std::string msg = who + ": unknown kind '" + kind + "'";
@@ -690,7 +686,6 @@ TopologyTrialReport run_topology_trial(const TopologyFile& topo,
     bcfg.pattern = w.burst;
     // Stream tag 0x10B0: decorrelated from the 0x1090+i block streams.
     bcfg.pattern.seed = derive_seed(trial_seed, 0x10B0);
-    bcfg.batched = w.burst_batched;
     bcfg.horizon = duration;
     burst_src =
         &g.emplace<burst::BurstSourceBlock>(eng, "burst_workload", bcfg);
@@ -779,31 +774,7 @@ TopologyTrialReport run_topology_trial(const TopologyFile& topo,
     workload.start();
     eng.run_until(duration);
 
-    tcp::TcpTrialReport& r = report.tcp;
-    r.bytes_acked = workload.total_bytes_acked();
-    r.retransmits = workload.total_retransmits();
-    r.rto_fires = workload.total_rto_fires();
-    r.fast_retx = workload.total_fast_retx();
-    r.cwnd_reductions = workload.total_cwnd_reductions();
-    r.acks_sent = workload.total_acks_sent();
-    r.queue_drops = workload.source().drops();
-    r.goodput_bps = workload.goodput_bps(duration);
-    r.rld_detections = workload.total_rld_detections();
-    r.rld_rate_bps = workload.mean_rld_rate_bps();
-    r.rld_detect_time = workload.mean_rld_detect_time();
-    const telemetry::Log2Histogram rtt = workload.rtt_probe().merged();
-    if (rtt.count() > 0) {
-      r.rtt_p99_ns = rtt.quantile(0.99);
-      r.rtt_min_ns = static_cast<double>(rtt.min());
-    }
-    for (std::size_t i = 0; i < workload.num_flows(); ++i) {
-      const tcp::Flow& f = workload.flow(i);
-      r.segs_sent += f.stats().segs_sent;
-      r.emit_rejects += f.stats().emit_rejects;
-      const double rate = f.delivery_rate_bps();
-      if (i == 0 || rate < r.min_flow_rate_bps) r.min_flow_rate_bps = rate;
-      if (i == 0 || rate > r.max_flow_rate_bps) r.max_flow_rate_bps = rate;
-    }
+    report.tcp = workload.report(duration);
     finish_series();  // before the workload (and its channels) go away
   } else if (w.kind == WorkloadSpec::Kind::kCbr) {
     dev.port(0).out_link().connect(g.input(w.ingress.block, w.ingress.port));

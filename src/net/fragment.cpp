@@ -41,9 +41,9 @@ std::vector<Packet> fragment_ipv4(const Packet& packet, std::size_t mtu) {
     h.more_fragments =
         (off + take < payload_len) || parsed->ipv4.more_fragments;
     h.finalize_checksum();
-    const std::size_t hdr_at = frag.data.size();
-    frag.data.resize(hdr_at + hdr_len);
-    h.write(MutByteSpan{frag.data.data() + hdr_at, hdr_len});
+    std::uint8_t hdr[60] = {};  // ihl is 4 bits: at most 60 header bytes
+    h.write(MutByteSpan{hdr, hdr_len});
+    frag.data.insert(frag.data.end(), hdr, hdr + hdr_len);
     frag.data.insert(frag.data.end(), payload + off, payload + off + take);
     // Respect the Ethernet minimum.
     if (frag.wire_len() < kEthMinFrame)

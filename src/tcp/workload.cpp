@@ -46,7 +46,7 @@ ClosedLoopWorkload::ClosedLoopWorkload(sim::Engine& eng,
   if (cfg_.tx_port == cfg_.rx_port) {
     throw std::invalid_argument("tcp: tx_port and rx_port must differ");
   }
-  eng_->set_wheel_enabled(cfg_.wheel_timers && !cfg_.legacy_hot_path);
+  eng_->set_wheel_enabled(cfg_.wheel_timers);
 
   gen::TxConfig txcfg;
   txcfg.rate = cfg_.bottleneck_gbps > 0.0
@@ -100,13 +100,11 @@ ClosedLoopWorkload::ClosedLoopWorkload(sim::Engine& eng,
     // 10k+ flows sharing one bottleneck buffer) senders skip serializing
     // frames the queue would tail-drop anyway; the probe records the
     // drop so queue_drops telemetry is identical to built-then-dropped.
-    if (!cfg_.legacy_hot_path) {
-      flows_[h.slot].set_emit_preflight([this] {
-        if (!source_->full()) return true;
-        source_->note_tail_drop();
-        return false;
-      });
-    }
+    flows_[h.slot].set_emit_preflight([this] {
+      if (!source_->full()) return true;
+      source_->note_tail_drop();
+      return false;
+    });
     flow_handles_.push_back(h);
     recv_hot_[i].isn = flows_[h.slot].isn();
   }
@@ -223,14 +221,7 @@ void ClosedLoopWorkload::send_ack(std::size_t idx, Picos now) {
   // instead of a cancel + re-arm pair per ACKed segment. (The timer can
   // also fire "early" relative to the newest segment; that only makes an
   // ACK less delayed, which RFC 1122 always allows.)
-  if (st.delack_timer) {
-    if (cfg_.legacy_hot_path) {
-      eng_->cancel(st.delack_timer);
-      st.delack_timer = {};
-    } else {
-      ++delack_cancels_saved_;
-    }
-  }
+  if (st.delack_timer) ++delack_cancels_saved_;
 
   const FlowConfig& fc = flows_[static_cast<std::uint32_t>(idx)].config();
   net::PacketBuilder b;
@@ -374,29 +365,28 @@ void ClosedLoopTestbed::run_until(Picos until) {
   eng_.run_until(until);
 }
 
-TcpTrialReport ClosedLoopTestbed::report(Picos window) const {
-  const ClosedLoopWorkload& w = *workload_;
+TcpTrialReport ClosedLoopWorkload::report(Picos window) const {
   TcpTrialReport r;
-  r.bytes_acked = w.total_bytes_acked();
-  r.retransmits = w.total_retransmits();
-  r.rto_fires = w.total_rto_fires();
-  r.fast_retx = w.total_fast_retx();
-  r.cwnd_reductions = w.total_cwnd_reductions();
-  r.acks_sent = w.total_acks_sent();
-  r.queue_drops = w.source().drops();
-  r.goodput_bps = w.goodput_bps(window);
-  for (std::size_t i = 0; i < w.num_flows(); ++i) {
-    const Flow& f = w.flow(i);
+  r.bytes_acked = total_bytes_acked();
+  r.retransmits = total_retransmits();
+  r.rto_fires = total_rto_fires();
+  r.fast_retx = total_fast_retx();
+  r.cwnd_reductions = total_cwnd_reductions();
+  r.acks_sent = total_acks_sent();
+  r.queue_drops = source().drops();
+  r.goodput_bps = goodput_bps(window);
+  for (std::size_t i = 0; i < num_flows(); ++i) {
+    const Flow& f = flow(i);
     r.segs_sent += f.stats().segs_sent;
     r.emit_rejects += f.stats().emit_rejects;
     const double rate = f.delivery_rate_bps();
     if (i == 0 || rate < r.min_flow_rate_bps) r.min_flow_rate_bps = rate;
     if (i == 0 || rate > r.max_flow_rate_bps) r.max_flow_rate_bps = rate;
   }
-  r.rld_detections = w.total_rld_detections();
-  r.rld_rate_bps = w.mean_rld_rate_bps();
-  r.rld_detect_time = w.mean_rld_detect_time();
-  const telemetry::Log2Histogram rtt = w.rtt_probe().merged();
+  r.rld_detections = total_rld_detections();
+  r.rld_rate_bps = mean_rld_rate_bps();
+  r.rld_detect_time = mean_rld_detect_time();
+  const telemetry::Log2Histogram rtt = rtt_probe_.merged();
   if (rtt.count() > 0) {
     r.rtt_p99_ns = rtt.quantile(0.99);
     r.rtt_min_ns = static_cast<double>(rtt.min());

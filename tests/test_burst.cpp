@@ -1,6 +1,6 @@
 // osnt::burst — schedule math for each pattern (period tiling, pulse
-// sizing, Pareto seeding, volley shapes), batched-vs-naive emission
-// equivalence on the wire, the workload/topology integration with its
+// sizing, Pareto seeding, volley shapes), batched emission reproducing
+// its schedule on the wire, the workload/topology integration with its
 // did-you-mean error paths, the BurstEnvelopeGap synth bridge, and the
 // headline determinism claim: an amplification-DDoS topology is
 // byte-identical under kSimOnly telemetry — including the --series-out
@@ -112,8 +112,6 @@ TEST(Burst, OnOffTilesThePeriodGrid) {
   for (std::size_t i = 0; i < kPerBurst; ++i) {
     EXPECT_EQ(s.offsets()[i], static_cast<Picos>(i) * kSlot64At10G);
   }
-  EXPECT_TRUE(std::all_of(s.lengths().begin(), s.lengths().end(),
-                          [](std::uint16_t l) { return l == 64; }));
   EXPECT_TRUE(std::all_of(s.flow_ids().begin(), s.flow_ids().end(),
                           [&](std::uint32_t f) { return f < cfg.flows; }));
 }
@@ -224,50 +222,36 @@ TEST(Burst, MakeFrameShapesMatchThePattern) {
   EXPECT_NE(synf.data, other.data);
 }
 
-// ------------------------------------------------- batched vs naive modes
+// ------------------------------------------------------ batched emission
 
-struct EmissionOutcome {
-  std::uint64_t frames = 0;
-  std::uint64_t bytes = 0;
-  std::uint64_t bursts = 0;
-  Picos last_arrival = 0;
-};
-
-EmissionOutcome run_emission(bool batched) {
+TEST(Burst, BatchedEmissionReproducesItsSchedule) {
   sim::Engine eng;
   graph::Graph g{eng};
   burst::BurstSourceConfig cfg;
   cfg.pattern = base_config(Pattern::kStrobe);
   cfg.pattern.period = 10 * kPicosPerMicro;
   cfg.pattern.pulse_frames = 16;
-  cfg.batched = batched;
   cfg.horizon = 200 * kPicosPerMicro;
   auto& src = g.emplace<burst::BurstSourceBlock>(eng, "src", cfg);
   auto& sink = g.emplace<graph::SinkBlock>(eng, "sink");
   g.connect("src", 0, "sink", 0);
   g.start();
   eng.run();
-  EmissionOutcome out;
-  out.frames = sink.frames_in();
-  out.bytes = sink.bytes();
-  out.bursts = src.bursts_emitted();
-  out.last_arrival = sink.last_arrival();
-  EXPECT_EQ(src.frames_out(), sink.frames_in());
-  EXPECT_EQ(src.wire_bytes(), sink.bytes());
-  return out;
-}
 
-TEST(Burst, BatchedAndNaiveAreIndistinguishableOnTheWire) {
-  const EmissionOutcome batched = run_emission(true);
-  const EmissionOutcome naive = run_emission(false);
-  EXPECT_EQ(batched.frames, 20u * 16u);
-  EXPECT_EQ(batched.frames, naive.frames);
-  EXPECT_EQ(batched.bytes, naive.bytes);
-  EXPECT_EQ(batched.bursts, naive.bursts);
-  // Same last-bit arrival instant: the emission mechanism must not move
-  // a single frame in time.
-  EXPECT_EQ(batched.last_arrival, naive.last_arrival);
-  EXPECT_GT(batched.last_arrival, 0);
+  const BurstSchedule& s = *src.schedule();
+  EXPECT_EQ(s.total_frames(), 20u * 16u);
+  EXPECT_EQ(sink.frames_in(), s.total_frames());
+  EXPECT_EQ(src.frames_out(), s.total_frames());
+  EXPECT_EQ(sink.bytes(), s.total_wire_bytes());
+  EXPECT_EQ(src.wire_bytes(), s.total_wire_bytes());
+  EXPECT_EQ(src.bursts_emitted(), s.bursts().size());
+  // One event per burst must not move a single frame in time: the last
+  // frame's last bit lands exactly where the schedule put it.
+  const burst::Burst& last = s.bursts().back();
+  const Picos last_bit = last.start +
+                         s.offsets()[last.first + last.count - 1] +
+                         cfg.pattern.slot();
+  EXPECT_EQ(sink.last_arrival(), last_bit);
 }
 
 TEST(Burst, SourceRequiresAHorizon) {
@@ -305,7 +289,7 @@ TEST(Burst, WorkloadStanzaParses) {
                 "queue_frames": 64}],
     "workload": {"kind": "burst", "pattern": "strobe", "rate_gbps": 4.0,
                  "period_us": 10, "pulse_frames": 8, "l4": "tcp_syn",
-                 "batched": false, "ingress": "q:0", "egress": "q:0"}
+                 "ingress": "q:0", "egress": "q:0"}
   })");
   EXPECT_EQ(topo.workload.kind, graph::WorkloadSpec::Kind::kBurst);
   EXPECT_EQ(topo.workload.burst.pattern, Pattern::kStrobe);
@@ -313,7 +297,6 @@ TEST(Burst, WorkloadStanzaParses) {
   EXPECT_EQ(topo.workload.burst.period, 10 * kPicosPerMicro);
   EXPECT_EQ(topo.workload.burst.pulse_frames, 8u);
   EXPECT_EQ(topo.workload.burst.l4, burst::L4::kTcpSyn);
-  EXPECT_FALSE(topo.workload.burst_batched);
 }
 
 TEST(Burst, UnknownPatternSuggestsNearest) {
@@ -337,6 +320,25 @@ TEST(Burst, PatternKeysAreStrictPerPattern) {
                  "ingress": "q:0", "egress": "q:0"}
   })");
   expect_contains(msg, "unknown key 'pulse_frames'");
+
+  // "batched" once picked between emission modes; only batched emission
+  // exists now, so the key is an unknown one wherever it appears.
+  const std::string block_msg = load_error(R"({
+    "name": "t",
+    "blocks": [{"name": "a", "type": "burst_source", "pattern": "on_off",
+                "batched": false}],
+    "workload": {"kind": "none"}
+  })");
+  expect_contains(block_msg, "unknown key 'batched'");
+  expect_contains(block_msg, "line 4 column 28");
+  const std::string workload_msg = load_error(R"({
+    "name": "t",
+    "blocks": [{"name": "q", "type": "fifo_queue"}],
+    "workload": {"kind": "burst", "pattern": "on_off", "batched": true,
+                 "ingress": "q:0", "egress": "q:0"}
+  })");
+  expect_contains(workload_msg, "unknown key 'batched'");
+  expect_contains(workload_msg, "line 4 column 67");
 }
 
 TEST(Burst, ReservedBlockNamesAreRejected) {

@@ -3,6 +3,7 @@
 
 #include <string>
 
+#include "osnt/common/json.hpp"
 #include "osnt/fault/plan.hpp"
 
 namespace osnt::fault {
@@ -251,6 +252,17 @@ TEST(FaultPlan, ErrorsCarryPositionAndSuggestion) {
   EXPECT_NE(typo_key.find("did you mean 'queue_frames'?"), std::string::npos)
       << typo_key;
   EXPECT_NE(typo_key.find("line"), std::string::npos) << typo_key;
+}
+
+TEST(FaultPlan, HostileNestingIsAPositionedError) {
+  // `{"events":` is 10 bytes and holds level 1 of json::kMaxDepth.
+  const std::string msg =
+      plan_error("{\"events\":" + std::string(100000, '['));
+  EXPECT_NE(msg.find("nesting deeper than"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("(line 1 column " +
+                     std::to_string(10 + json::kMaxDepth) + ")"),
+            std::string::npos)
+      << msg;
 }
 
 TEST(FaultPlan, SummaryCountsBlockTargetedKinds) {

@@ -38,13 +38,16 @@ namespace fs = std::filesystem;
 constexpr Picos kDuration = 20 * kPicosPerMilli;
 constexpr Picos kSeriesInterval = kPicosPerMilli;
 
-const fs::path kTopologyDir = fs::path(OSNT_SOURCE_DIR) / "examples" / "topologies";
+const fs::path kTopologyDir =
+    fs::path(OSNT_SOURCE_DIR) / "examples" / "topologies";
 const fs::path kGoldenDir = fs::path(OSNT_SOURCE_DIR) / "tests" / "golden";
 
 std::vector<std::string> example_topologies() {
   std::vector<std::string> names;
   for (const auto& e : fs::directory_iterator(kTopologyDir)) {
-    if (e.path().extension() == ".json") names.push_back(e.path().stem().string());
+    if (e.path().extension() == ".json") {
+      names.push_back(e.path().stem().string());
+    }
   }
   std::sort(names.begin(), names.end());
   return names;
@@ -109,7 +112,9 @@ Outputs run_isolated(const std::string& name) {
     throw std::runtime_error("trial child failed: " + buf);
   }
   const std::size_t split = buf.find('\0');
-  if (split == std::string::npos) throw std::runtime_error("short child output");
+  if (split == std::string::npos) {
+    throw std::runtime_error("short child output");
+  }
   return {buf.substr(0, split), buf.substr(split + 1)};
 }
 

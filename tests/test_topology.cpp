@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "osnt/common/json.hpp"
 #include "osnt/core/runner.hpp"
 #include "osnt/graph/topology.hpp"
 #include "osnt/telemetry/registry.hpp"
@@ -93,6 +94,24 @@ TEST(Topology, UnknownKeySuggestsNearest) {
   })");
   expect_contains(msg, "unknown key 'rate_gbsp'");
   expect_contains(msg, "did you mean 'rate_gbps'?");
+}
+
+TEST(Topology, HostileNestingIsAPositionedError) {
+  // 100 000 levels once overflowed the recursive reader's stack. The
+  // reader stops at kMaxDepth: `{"blocks":` is 10 bytes and holds level
+  // 1, so the first '[' past the limit sits at column 10 + kMaxDepth.
+  const std::string msg =
+      load_error("{\"blocks\":" + std::string(100000, '['));
+  expect_contains(msg, "nesting deeper than " +
+                           std::to_string(json::kMaxDepth) + " levels");
+  expect_contains(msg, "(line 1 column " +
+                           std::to_string(10 + json::kMaxDepth) + ")");
+
+  // The limit itself is fine: the error is the schema's, not the depth's.
+  const std::string at_limit = load_error(
+      "{\"blocks\":" + std::string(json::kMaxDepth - 1, '[') +
+      std::string(json::kMaxDepth - 1, ']') + "}");
+  EXPECT_EQ(at_limit.find("nesting"), std::string::npos) << at_limit;
 }
 
 TEST(Topology, DanglingEdgeIsAnError) {
@@ -281,7 +300,9 @@ TEST(Topology, DumbbellMonitorReportsRttQuantiles) {
   for (const auto& b : r.blocks) {
     if (b.name == "tap") tap = &b;
     // Only monitor blocks carry an RTT population.
-    if (b.name != "tap") EXPECT_EQ(b.rtt_samples, 0u) << b.name;
+    if (b.name != "tap") {
+      EXPECT_EQ(b.rtt_samples, 0u) << b.name;
+    }
   }
   ASSERT_NE(tap, nullptr);
   EXPECT_GT(tap->frames_in, 0u);
