@@ -231,11 +231,9 @@ class SinkBlock : public Block {
   void on_frame(std::size_t in_port, net::Packet pkt, Picos first_bit,
                 Picos last_bit) override;
 
-  [[nodiscard]] std::uint64_t bytes() const noexcept { return bytes_; }
   [[nodiscard]] Picos last_arrival() const noexcept { return last_arrival_; }
 
  private:
-  std::uint64_t bytes_ = 0;
   Picos last_arrival_ = 0;
 };
 
@@ -261,7 +259,6 @@ class MonitorBlock : public Block {
   void on_frame(std::size_t in_port, net::Packet pkt, Picos first_bit,
                 Picos last_bit) override;
 
-  [[nodiscard]] std::uint64_t bytes() const noexcept { return bytes_; }
   [[nodiscard]] std::uint64_t fcs_errors() const noexcept {
     return fcs_errors_;
   }
@@ -276,7 +273,6 @@ class MonitorBlock : public Block {
 
  private:
   MonitorConfig cfg_;
-  std::uint64_t bytes_ = 0;
   std::uint64_t fcs_errors_ = 0;
   telemetry::Log2Histogram frame_bytes_;
   mon::LatencyProbe rtt_probe_;

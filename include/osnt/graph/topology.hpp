@@ -73,7 +73,7 @@ struct EdgeSpec {
 
 /// The traffic that drives the graph.
 struct WorkloadSpec {
-  enum class Kind : std::uint8_t { kNone, kTcp, kCbr, kBurst };
+  enum class Kind : std::uint8_t { kNone, kTcp, kCbr };
   Kind kind = Kind::kNone;
 
   Endpoint ingress;  ///< where device TX enters the graph
@@ -98,10 +98,6 @@ struct WorkloadSpec {
   double rate_gbps = 1.0;
   std::size_t frame_size = 256;
   std::uint32_t flow_count = 1;
-
-  // --- burst (graph-native: a burst_source named "burst_workload" is
-  // emplaced at `ingress` and a "burst_sink" behind `egress`) ---
-  burst::PatternConfig burst{};
 };
 
 /// A parsed, validated topology file. Pure data until build() is called.
@@ -144,14 +140,6 @@ struct BlockCounters {
 struct TopologyTrialReport {
   tcp::TcpTrialReport tcp{};  ///< meaningful when workload.kind == kTcp
   core::RunResult cbr{};      ///< meaningful when workload.kind == kCbr
-  /// Meaningful when workload.kind == kBurst.
-  struct BurstReport {
-    std::uint64_t frames = 0;    ///< frames the burst_workload source emitted
-    std::uint64_t bursts = 0;    ///< emission events (one per burst)
-    std::uint64_t tx_bytes = 0;  ///< wire bytes emitted (incl. FCS)
-    std::uint64_t rx_frames = 0; ///< frames that reached burst_sink
-    std::uint64_t rx_bytes = 0;
-  } burst{};
   std::vector<BlockCounters> blocks;
   std::uint64_t graph_frames_in = 0;
   std::uint64_t graph_drops = 0;
@@ -169,11 +157,10 @@ void validate_fault_targets(const TopologyFile& topo,
                             const fault::FaultPlan& plan);
 
 /// Semantic workload validation beyond parse-time shape checks: tcp cc
-/// names (with did-you-mean), cbr rate/frame-size ranges, and burst
-/// pattern configs — both the `burst` workload stanza and every
-/// burst_source block. Throws TopologyError. Backs `osnt_run topo
-/// --validate-only`, so a stanza that would only explode at build time
-/// fails the dry run instead.
+/// names (with did-you-mean), cbr rate/frame-size ranges, and every
+/// burst_source block's pattern config. Throws TopologyError. Backs
+/// `osnt_run topo --validate-only`, so a stanza that would only explode
+/// at build time fails the dry run instead.
 void validate_workload(const TopologyFile& topo);
 
 /// One deterministic trial: fresh engine + device + graph built from

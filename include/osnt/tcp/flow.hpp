@@ -80,6 +80,17 @@ class RtoEstimator {
   std::uint32_t backoff_ = 0;
 };
 
+/// Every data segment carries the timestamps option: kind, length and
+/// two 32-bit stamps, padded to a 4-byte multiple.
+inline constexpr std::size_t kTimestampsOptionLen = 12;
+/// Largest MSS whose data segment still fits one untagged Ethernet frame
+/// (1448). A larger one builds a frame the MAC drops, so the flow never
+/// delivers a byte; front-ends reject it instead.
+inline constexpr std::uint32_t kMaxMss =
+    net::kEthMaxFrame - net::kEthFcsLen - net::kEthHeaderLen -
+    net::Ipv4Header::kMinSize - net::TcpHeader::kMinSize -
+    kTimestampsOptionLen;
+
 struct FlowConfig {
   std::uint32_t flow_id = 0;
   net::MacAddr src_mac{};

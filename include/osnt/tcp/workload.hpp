@@ -219,6 +219,10 @@ class ClosedLoopWorkload {
   [[nodiscard]] double goodput_bps(Picos window) const;
   /// Aggregate the trial counters; `window` scales the goodput figure.
   [[nodiscard]] TcpTrialReport report(Picos window) const;
+  /// Register the aggregate tcp.* series channels (bytes_acked,
+  /// acks_sent, retransmits, queue_drops, rtt.ns). They read this
+  /// workload, so the series must finish before it is destroyed.
+  void add_series_channels(telemetry::TimeSeries& series) const;
 
   // --- rate-limit detector aggregates (all 0 when the detector is off) ---
   [[nodiscard]] std::uint64_t total_rld_detections() const;

@@ -312,13 +312,14 @@ SinkBlock::SinkBlock(sim::Engine& eng, std::string name)
 
 SinkBlock::~SinkBlock() {
   if (telemetry::enabled() && frames_in() > 0) {
-    telemetry::registry().counter("graph." + name() + ".bytes").add(bytes_);
+    telemetry::registry()
+        .counter("graph." + name() + ".bytes")
+        .add(bytes_in());
   }
 }
 
-void SinkBlock::on_frame(std::size_t /*in_port*/, net::Packet pkt,
+void SinkBlock::on_frame(std::size_t /*in_port*/, net::Packet /*pkt*/,
                          Picos /*first_bit*/, Picos last_bit) {
-  bytes_ += pkt.wire_len();
   last_arrival_ = last_bit;
 }
 
@@ -332,7 +333,7 @@ MonitorBlock::~MonitorBlock() {
   if (telemetry::enabled() && frames_in() > 0) {
     auto& reg = telemetry::registry();
     const std::string prefix = "graph." + name() + ".";
-    reg.counter(prefix + "bytes").add(bytes_);
+    reg.counter(prefix + "bytes").add(bytes_in());
     reg.counter(prefix + "fcs_errors").add(fcs_errors_);
     reg.histogram(prefix + "frame_bytes").merge(frame_bytes_);
     rtt_probe_.flush(prefix);
@@ -357,7 +358,6 @@ std::uint8_t frame_class(const net::Packet& pkt) noexcept {
 
 void MonitorBlock::on_frame(std::size_t /*in_port*/, net::Packet pkt,
                             Picos first_bit, Picos last_bit) {
-  bytes_ += pkt.wire_len();
   frame_bytes_.record(pkt.wire_len());
   if (pkt.fcs_bad) ++fcs_errors_;
   // In-plane latency at the tap: source-MAC ground truth to arrival here,

@@ -1,6 +1,8 @@
 #include "osnt/graph/topology.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <limits>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -56,14 +58,26 @@ double number_or(const Json& obj, const std::string& key, double fallback,
   return v->number;
 }
 
+/// A non-negative integer. A field with a range of its own (one stored
+/// in 32 bits, say) passes [lo, hi], so a bad value fails at the key
+/// instead of narrowing.
 std::size_t count_or(const Json& obj, const std::string& key,
-                     std::size_t fallback, const std::string& who) {
+                     std::size_t fallback, const std::string& who,
+                     std::size_t lo = 0,
+                     std::size_t hi = std::numeric_limits<std::size_t>::max()) {
   const double d = number_or(obj, key, static_cast<double>(fallback), who);
-  if (d < 0 || d != static_cast<double>(static_cast<std::uint64_t>(d))) {
+  if (d < 0 || d >= 0x1p64 ||
+      d != static_cast<double>(static_cast<std::uint64_t>(d))) {
     fail(who + ": '" + key + "' must be a non-negative integer",
          obj.find(key));
   }
-  return static_cast<std::size_t>(d);
+  const auto n = static_cast<std::size_t>(d);
+  if (n < lo || n > hi) {
+    fail(who + ": '" + key + "' must be in [" + std::to_string(lo) + ", " +
+             std::to_string(hi) + "]",
+         obj.find(key));
+  }
+  return n;
 }
 
 bool bool_or(const Json& obj, const std::string& key, bool fallback,
@@ -136,12 +150,10 @@ std::vector<std::string> with_time_units(std::vector<std::string> keys,
   return keys;
 }
 
-/// Pattern fields shared by burst_source blocks and the burst workload
-/// stanza. `extra` carries the caller's structural keys ("name"/"type" or
-/// "kind"/"ingress"/...); the allowed set is per-pattern, so a strobe
-/// stanza with an `alpha` key fails like any other unknown key.
+/// A burst_source block's pattern fields. The allowed key set is
+/// per-pattern, so a strobe block with an `alpha` key fails like any
+/// other unknown key.
 burst::PatternConfig parse_burst_pattern(const Json& obj,
-                                         std::vector<std::string> extra,
                                          const std::string& who) {
   burst::PatternConfig cfg;
   const std::string pname =
@@ -155,10 +167,8 @@ burst::PatternConfig parse_burst_pattern(const Json& obj,
   }
   cfg.pattern = burst::pattern_from_name(pname);
 
-  std::vector<std::string> keys = std::move(extra);
-  for (const char* k : {"pattern", "rate_gbps", "frame_size", "flows", "l4"}) {
-    keys.emplace_back(k);
-  }
+  std::vector<std::string> keys = {"name",       "type",  "pattern", "rate_gbps",
+                                   "frame_size", "flows", "l4"};
   switch (cfg.pattern) {
     case burst::Pattern::kOnOff:
       keys = with_time_units(std::move(keys), {"period"});
@@ -220,12 +230,18 @@ Endpoint parse_endpoint(const Json& v, const std::string& who) {
     return ep;
   }
   ep.block = s.substr(0, colon);
-  const std::string port = s.substr(colon + 1);
-  if (port.empty() ||
-      port.find_first_not_of("0123456789") != std::string::npos) {
+  std::uint32_t port = 0;
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data() + colon + 1, end, port);
+  if (ec == std::errc::result_out_of_range) {
+    fail(who + ": port in endpoint '" + s + "' exceeds " +
+             std::to_string(std::numeric_limits<std::uint32_t>::max()),
+         &v);
+  }
+  if (ec != std::errc{} || ptr != end) {
     fail(who + ": bad port in endpoint '" + s + "'", &v);
   }
-  ep.port = static_cast<std::size_t>(std::stoul(port));
+  ep.port = port;
   if (ep.block.empty()) fail(who + ": empty block name in endpoint", &v);
   return ep;
 }
@@ -287,7 +303,7 @@ BlockSpec parse_block(const Json& b, std::size_t i) {
     spec.monitor.rtt_probe =
         bool_or(b, "rtt_probe", spec.monitor.rtt_probe, who2);
   } else if (spec.type == "burst_source") {
-    spec.burst.pattern = parse_burst_pattern(b, {"name", "type"}, who2);
+    spec.burst.pattern = parse_burst_pattern(b, who2);
     spec.num_inputs = 0;
   } else if (spec.type == "legacy_switch") {
     check_keys(b,
@@ -343,7 +359,8 @@ WorkloadSpec parse_workload(const Json& w) {
                who);
     spec.flows = count_or(w, "flows", spec.flows, who);
     spec.cc = string_or(w, "cc", spec.cc, who);
-    spec.mss = static_cast<std::uint32_t>(count_or(w, "mss", spec.mss, who));
+    spec.mss = static_cast<std::uint32_t>(
+        count_or(w, "mss", spec.mss, who, 1, tcp::kMaxMss));
     spec.bottleneck_gbps =
         number_or(w, "bottleneck_gbps", spec.bottleneck_gbps, who);
     spec.queue_segments =
@@ -360,12 +377,10 @@ WorkloadSpec parse_workload(const Json& w) {
     spec.rate_gbps = number_or(w, "rate_gbps", spec.rate_gbps, who);
     spec.frame_size = count_or(w, "frame_size", spec.frame_size, who);
     spec.flow_count = static_cast<std::uint32_t>(
-        count_or(w, "flows", spec.flow_count, who));
-  } else if (kind == "burst") {
-    spec.kind = WorkloadSpec::Kind::kBurst;
-    spec.burst = parse_burst_pattern(w, {"kind", "ingress", "egress"}, who);
+        count_or(w, "flows", spec.flow_count, who, 1,
+                 std::numeric_limits<std::uint32_t>::max()));
   } else {
-    const std::vector<std::string> kinds = {"none", "tcp", "cbr", "burst"};
+    const std::vector<std::string> kinds = {"none", "tcp", "cbr"};
     std::string msg = who + ": unknown kind '" + kind + "'";
     const std::string hint = suggest_nearest(kind, kinds);
     if (!hint.empty()) msg += " (did you mean '" + hint + "'?)";
@@ -447,14 +462,6 @@ void validate(const TopologyFile& t) {
     if (t.workload.ack_ingress) {
       check_in(*t.workload.ack_ingress, "workload.ack_ingress");
       claim(*t.workload.ack_egress, "workload.ack_egress");
-    }
-  }
-  if (t.workload.kind == WorkloadSpec::Kind::kBurst) {
-    for (const char* r : {"burst_workload", "burst_sink"}) {
-      if (by_name.count(r) != 0) {
-        fail("block name '" + std::string(r) +
-             "' is reserved for the burst workload");
-      }
     }
   }
 }
@@ -631,7 +638,6 @@ void validate_workload(const TopologyFile& topo) {
       if (!hint.empty()) msg += " (did you mean '" + hint + "'?)";
       fail(msg);
     }
-    if (w.mss == 0) fail("workload: 'mss' must be positive");
     if (w.bottleneck_gbps < 0) {
       fail("workload: 'bottleneck_gbps' must not be negative");
     }
@@ -640,13 +646,6 @@ void validate_workload(const TopologyFile& topo) {
     if (w.frame_size < net::kEthMinFrame ||
         w.frame_size > net::kEthMaxFrame) {
       fail("workload: 'frame_size' must be in [64, 1518]");
-    }
-    if (w.flow_count == 0) fail("workload: 'flows' must be positive");
-  } else if (w.kind == WorkloadSpec::Kind::kBurst) {
-    try {
-      w.burst.validate();
-    } catch (const burst::BurstError& e) {
-      fail("workload: " + std::string(e.what()));
     }
   }
   for (const auto& b : topo.blocks) {
@@ -676,35 +675,8 @@ TopologyTrialReport run_topology_trial(const TopologyFile& topo,
 
   const WorkloadSpec& w = topo.workload;
 
-  // Burst workloads are graph-native: the source and sink join the graph
-  // itself (so the series loop below picks up their channels) rather than
-  // riding the device ports. Names are reserved at validate() time.
-  burst::BurstSourceBlock* burst_src = nullptr;
-  SinkBlock* burst_sink = nullptr;
-  if (w.kind == WorkloadSpec::Kind::kBurst) {
-    burst::BurstSourceConfig bcfg;
-    bcfg.pattern = w.burst;
-    // Stream tag 0x10B0: decorrelated from the 0x1090+i block streams.
-    bcfg.pattern.seed = derive_seed(trial_seed, 0x10B0);
-    bcfg.horizon = duration;
-    burst_src =
-        &g.emplace<burst::BurstSourceBlock>(eng, "burst_workload", bcfg);
-    burst_sink = &g.emplace<SinkBlock>(eng, "burst_sink");
-    g.connect("burst_workload", 0, w.ingress.block, w.ingress.port);
-    g.connect(w.egress.block, w.egress.port, "burst_sink", 0);
-  }
-  std::optional<fault::Injector> injector;
-  const auto arm_faults = [&] {
-    if (plan && !plan->events.empty()) {
-      injector.emplace(eng, *plan);
-      injector->attach_device(dev);
-      injector->attach_graph(g);
-      injector->arm();
-    }
-  };
-
   // Sim-time sampler: per-block intrinsic channels plus each monitor's
-  // in-plane RTT histogram. Workload channels join below, before start.
+  // in-plane RTT histogram. A tcp workload adds its channels below.
   std::optional<telemetry::TimeSeries> series;
   if (series_interval > 0) {
     series.emplace(series_interval);
@@ -725,18 +697,13 @@ TopologyTrialReport run_topology_trial(const TopologyFile& topo,
     }
     series->attach(eng, duration);
   }
-  const auto finish_series = [&] {
-    if (!series) return;
-    series->finish();
-    report.series = series->take();
-    series.reset();
-  };
 
-  if (w.kind == WorkloadSpec::Kind::kTcp) {
-    // Forward path: device TX port 0 → graph → device RX port 1.
+  // Forward path: device TX port 0 → graph → device RX port 1. The
+  // reverse direction runs through its own blocks (a tcp ACK path) or
+  // an ideal cable.
+  if (w.kind != WorkloadSpec::Kind::kNone) {
     dev.port(0).out_link().connect(g.input(w.ingress.block, w.ingress.port));
     g.connect_output(w.egress.block, w.egress.port, dev.port(1).rx());
-    // ACK path: through its own blocks, or an ideal reverse cable.
     if (w.ack_ingress) {
       dev.port(1).out_link().connect(
           g.input(w.ack_ingress->block, w.ack_ingress->port));
@@ -745,7 +712,10 @@ TopologyTrialReport run_topology_trial(const TopologyFile& topo,
     } else {
       dev.port(1).out_link().connect(dev.port(0).rx());
     }
+  }
 
+  std::optional<tcp::ClosedLoopWorkload> workload;
+  if (w.kind == WorkloadSpec::Kind::kTcp) {
     tcp::WorkloadConfig cfg;
     cfg.flows = w.flows;
     cfg.cc = w.cc;
@@ -755,57 +725,37 @@ TopologyTrialReport run_topology_trial(const TopologyFile& topo,
     cfg.rwnd_bytes = w.rwnd_kb * 1024;
     cfg.rate_limit_detector = w.rate_limit_detector;
     cfg.seed = trial_seed;
-    tcp::ClosedLoopWorkload workload{eng, dev, cfg};
-    if (series) {
-      series->add_counter("tcp.bytes_acked",
-                          [&workload] { return workload.total_bytes_acked(); });
-      series->add_counter("tcp.acks_sent",
-                          [&workload] { return workload.total_acks_sent(); });
-      series->add_counter("tcp.retransmits",
-                          [&workload] { return workload.total_retransmits(); });
-      series->add_counter("tcp.queue_drops",
-                          [&workload] { return workload.source().drops(); });
-      series->add_histogram("tcp.rtt.ns", [&workload] {
-        return workload.rtt_probe().merged();
-      });
-    }
-    arm_faults();
-    g.start();
-    workload.start();
-    eng.run_until(duration);
+    workload.emplace(eng, dev, cfg);
+    if (series) workload->add_series_channels(*series);
+  }
 
-    report.tcp = workload.report(duration);
-    finish_series();  // before the workload (and its channels) go away
-  } else if (w.kind == WorkloadSpec::Kind::kCbr) {
-    dev.port(0).out_link().connect(g.input(w.ingress.block, w.ingress.port));
-    g.connect_output(w.egress.block, w.egress.port, dev.port(1).rx());
-    dev.port(1).out_link().connect(dev.port(0).rx());
-    arm_faults();
-    g.start();
+  std::optional<fault::Injector> injector;
+  if (plan && !plan->events.empty()) {
+    injector.emplace(eng, *plan);
+    injector->attach_device(dev);
+    injector->attach_graph(g);
+    injector->arm();
+  }
+  g.start();
+  if (workload) workload->start();
+
+  if (w.kind == WorkloadSpec::Kind::kCbr) {
     core::TrafficSpec spec;
     spec.rate = gen::RateSpec::gbps(w.rate_gbps);
     spec.frame_size = w.frame_size;
     spec.flow_count = w.flow_count;
     spec.seed = trial_seed;
     report.cbr = core::run_capture_test(eng, dev, 0, 1, spec, duration);
-    finish_series();
-  } else if (w.kind == WorkloadSpec::Kind::kBurst) {
-    arm_faults();
-    g.start();
-    eng.run_until(duration);
-    auto& r = report.burst;
-    r.frames = burst_src->frames_out();
-    r.bursts = burst_src->bursts_emitted();
-    r.tx_bytes = burst_src->wire_bytes();
-    r.rx_frames = burst_sink->frames_in();
-    r.rx_bytes = burst_sink->bytes();
-    finish_series();
   } else {
-    arm_faults();
-    g.start();
     eng.run_until(duration);
-    finish_series();
   }
+
+  if (workload) report.tcp = workload->report(duration);
+  if (series) {
+    series->finish();
+    report.series = series->take();
+  }
+  workload.reset();  // detaches its taps, flushes tcp.* telemetry
 
   report.blocks.reserve(g.num_blocks());
   for (std::size_t i = 0; i < g.num_blocks(); ++i) {

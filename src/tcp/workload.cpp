@@ -394,6 +394,15 @@ TcpTrialReport ClosedLoopWorkload::report(Picos window) const {
   return r;
 }
 
+void ClosedLoopWorkload::add_series_channels(
+    telemetry::TimeSeries& series) const {
+  series.add_counter("tcp.bytes_acked", [this] { return total_bytes_acked(); });
+  series.add_counter("tcp.acks_sent", [this] { return total_acks_sent(); });
+  series.add_counter("tcp.retransmits", [this] { return total_retransmits(); });
+  series.add_counter("tcp.queue_drops", [this] { return source().drops(); });
+  series.add_histogram("tcp.rtt.ns", [this] { return rtt_probe().merged(); });
+}
+
 TcpTrialReport run_closed_loop_trial(const WorkloadConfig& cfg,
                                      Picos duration,
                                      const fault::FaultPlan* plan,
@@ -404,10 +413,8 @@ TcpTrialReport run_closed_loop_trial(const WorkloadConfig& cfg,
   std::optional<telemetry::TimeSeries> series;
   if (series_interval > 0 && series_out) {
     series.emplace(series_interval);
-    ClosedLoopWorkload& w = bed.workload();
-    series->add_counter("tcp.bytes_acked",
-                        [&w] { return w.total_bytes_acked(); });
-    series->add_counter("tcp.acks_sent", [&w] { return w.total_acks_sent(); });
+    const ClosedLoopWorkload& w = bed.workload();
+    w.add_series_channels(*series);
     series->add_counter("tcp.segs_sent", [&w] {
       std::uint64_t n = 0;
       for (std::size_t i = 0; i < w.num_flows(); ++i) {
@@ -415,12 +422,6 @@ TcpTrialReport run_closed_loop_trial(const WorkloadConfig& cfg,
       }
       return n;
     });
-    series->add_counter("tcp.retransmits",
-                        [&w] { return w.total_retransmits(); });
-    series->add_counter("tcp.queue_drops",
-                        [&w] { return w.source().drops(); });
-    series->add_histogram("tcp.rtt.ns",
-                          [&w] { return w.rtt_probe().merged(); });
     series->attach(bed.engine(), duration);
   }
   bed.run_until(duration);

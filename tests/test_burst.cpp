@@ -242,7 +242,7 @@ TEST(Burst, BatchedEmissionReproducesItsSchedule) {
   EXPECT_EQ(s.total_frames(), 20u * 16u);
   EXPECT_EQ(sink.frames_in(), s.total_frames());
   EXPECT_EQ(src.frames_out(), s.total_frames());
-  EXPECT_EQ(sink.bytes(), s.total_wire_bytes());
+  EXPECT_EQ(sink.bytes_in(), s.total_wire_bytes());
   EXPECT_EQ(src.wire_bytes(), s.total_wire_bytes());
   EXPECT_EQ(src.bursts_emitted(), s.bursts().size());
   // One event per burst must not move a single frame in time: the last
@@ -281,48 +281,67 @@ void expect_contains(const std::string& msg, const std::string& needle) {
       << "expected \"" << needle << "\" in: " << msg;
 }
 
-TEST(Burst, WorkloadStanzaParses) {
+TEST(Burst, SourceBlockParses) {
   const auto topo = graph::TopologyFile::from_json(R"({
     "name": "t",
     "duration_us": 500,
-    "blocks": [{"name": "q", "type": "fifo_queue", "rate_gbps": 10.0,
-                "queue_frames": 64}],
-    "workload": {"kind": "burst", "pattern": "strobe", "rate_gbps": 4.0,
-                 "period_us": 10, "pulse_frames": 8, "l4": "tcp_syn",
+    "blocks": [{"name": "src", "type": "burst_source", "pattern": "strobe",
+                "rate_gbps": 4.0, "period_us": 10, "pulse_frames": 8,
+                "l4": "tcp_syn"},
+               {"name": "drain", "type": "sink"}],
+    "edges": [{"from": "src:0", "to": "drain:0"}],
+    "workload": {"kind": "none"}
+  })");
+  ASSERT_EQ(topo.blocks.size(), 2u);
+  const graph::BlockSpec& src = topo.blocks[0];
+  EXPECT_EQ(src.type, "burst_source");
+  EXPECT_EQ(src.num_inputs, 0u);
+  EXPECT_EQ(src.burst.pattern.pattern, Pattern::kStrobe);
+  EXPECT_EQ(src.burst.pattern.rate_gbps, 4.0);
+  EXPECT_EQ(src.burst.pattern.period, 10 * kPicosPerMicro);
+  EXPECT_EQ(src.burst.pattern.pulse_frames, 8u);
+  EXPECT_EQ(src.burst.pattern.l4, burst::L4::kTcpSyn);
+}
+
+TEST(Burst, BurstWorkloadKindIsUnknown) {
+  // Bursts enter a topology as burst_source blocks only, so "burst" is
+  // not a workload kind.
+  const std::string msg = load_error(R"({
+    "name": "t",
+    "blocks": [{"name": "q", "type": "fifo_queue"}],
+    "workload": {"kind": "burst", "pattern": "on_off",
                  "ingress": "q:0", "egress": "q:0"}
   })");
-  EXPECT_EQ(topo.workload.kind, graph::WorkloadSpec::Kind::kBurst);
-  EXPECT_EQ(topo.workload.burst.pattern, Pattern::kStrobe);
-  EXPECT_EQ(topo.workload.burst.rate_gbps, 4.0);
-  EXPECT_EQ(topo.workload.burst.period, 10 * kPicosPerMicro);
-  EXPECT_EQ(topo.workload.burst.pulse_frames, 8u);
-  EXPECT_EQ(topo.workload.burst.l4, burst::L4::kTcpSyn);
+  expect_contains(msg, "workload: unknown kind 'burst'");
+  expect_contains(msg, "line 4 column 26");
 }
 
 TEST(Burst, UnknownPatternSuggestsNearest) {
   const std::string msg = load_error(R"({
     "name": "t",
-    "blocks": [{"name": "q", "type": "fifo_queue"}],
-    "workload": {"kind": "burst", "pattern": "amplificaton",
-                 "ingress": "q:0", "egress": "q:0"}
+    "blocks": [{"name": "src", "type": "burst_source",
+                "pattern": "amplificaton"}],
+    "workload": {"kind": "none"}
   })");
   expect_contains(msg, "unknown burst pattern 'amplificaton'");
   expect_contains(msg, "did you mean 'amplification'?");
+  expect_contains(msg, "line 4 column 28");
 }
 
 TEST(Burst, PatternKeysAreStrictPerPattern) {
   // pulse_frames belongs to strobe, not on_off: strict keys catch the
-  // stanza mixing patterns up.
+  // block mixing patterns up.
   const std::string msg = load_error(R"({
     "name": "t",
-    "blocks": [{"name": "q", "type": "fifo_queue"}],
-    "workload": {"kind": "burst", "pattern": "on_off", "pulse_frames": 8,
-                 "ingress": "q:0", "egress": "q:0"}
+    "blocks": [{"name": "src", "type": "burst_source", "pattern": "on_off",
+                "pulse_frames": 8}],
+    "workload": {"kind": "none"}
   })");
   expect_contains(msg, "unknown key 'pulse_frames'");
+  expect_contains(msg, "line 4 column 33");
 
   // "batched" once picked between emission modes; only batched emission
-  // exists now, so the key is an unknown one wherever it appears.
+  // exists now, so the key is an unknown one.
   const std::string block_msg = load_error(R"({
     "name": "t",
     "blocks": [{"name": "a", "type": "burst_source", "pattern": "on_off",
@@ -331,38 +350,24 @@ TEST(Burst, PatternKeysAreStrictPerPattern) {
   })");
   expect_contains(block_msg, "unknown key 'batched'");
   expect_contains(block_msg, "line 4 column 28");
-  const std::string workload_msg = load_error(R"({
-    "name": "t",
-    "blocks": [{"name": "q", "type": "fifo_queue"}],
-    "workload": {"kind": "burst", "pattern": "on_off", "batched": true,
-                 "ingress": "q:0", "egress": "q:0"}
-  })");
-  expect_contains(workload_msg, "unknown key 'batched'");
-  expect_contains(workload_msg, "line 4 column 67");
-}
-
-TEST(Burst, ReservedBlockNamesAreRejected) {
-  const std::string msg = load_error(R"({
-    "name": "t",
-    "blocks": [{"name": "burst_workload", "type": "fifo_queue"}],
-    "workload": {"kind": "burst", "pattern": "on_off",
-                 "ingress": "burst_workload:0", "egress": "burst_workload:0"}
-  })");
-  expect_contains(msg, "reserved for the burst workload");
 }
 
 TEST(Burst, ValidateWorkloadCatchesSemanticErrors) {
-  // Parses fine (duty is a number) but validate() must reject it.
+  // Parses fine (duty is a number) but validate_workload must reject it,
+  // naming the block.
   const auto topo = graph::TopologyFile::from_json(R"({
     "name": "t",
-    "blocks": [{"name": "q", "type": "fifo_queue"}],
-    "workload": {"kind": "burst", "pattern": "on_off", "duty": 2.0,
-                 "ingress": "q:0", "egress": "q:0"}
+    "blocks": [{"name": "src", "type": "burst_source", "pattern": "on_off",
+                "duty": 2.0},
+               {"name": "drain", "type": "sink"}],
+    "edges": [{"from": "src:0", "to": "drain:0"}],
+    "workload": {"kind": "none"}
   })");
   try {
     graph::validate_workload(topo);
     ADD_FAILURE() << "expected TopologyError about duty";
   } catch (const graph::TopologyError& e) {
+    expect_contains(e.what(), "block 'src'");
     expect_contains(e.what(), "duty");
   }
 
@@ -387,21 +392,32 @@ TEST(Burst, WorkloadRunsThroughTheGraph) {
     "name": "t",
     "seed": 11,
     "duration_us": 500,
-    "blocks": [{"name": "q", "type": "fifo_queue", "rate_gbps": 10.0,
-                "queue_frames": 64}],
-    "workload": {"kind": "burst", "pattern": "on_off", "rate_gbps": 2.0,
-                 "period_us": 100, "duty": 0.5,
-                 "ingress": "q:0", "egress": "q:0"}
+    "blocks": [{"name": "src", "type": "burst_source", "pattern": "on_off",
+                "rate_gbps": 2.0, "period_us": 100, "duty": 0.5},
+               {"name": "q", "type": "fifo_queue", "rate_gbps": 10.0,
+                "queue_frames": 64},
+               {"name": "drain", "type": "sink"}],
+    "edges": [{"from": "src:0", "to": "q:0"},
+              {"from": "q:0", "to": "drain:0"}],
+    "workload": {"kind": "none"}
   })");
+  telemetry::registry().reset();
   const auto r = graph::run_topology_trial(topo, topo.seed);
-  EXPECT_GT(r.burst.frames, 0u);
-  EXPECT_GT(r.burst.bursts, 0u);
+  ASSERT_EQ(r.blocks.size(), 3u);
+  const graph::BlockCounters& src = r.blocks[0];
+  const graph::BlockCounters& drain = r.blocks[2];
+  ASSERT_EQ(src.name, "src");
+  ASSERT_EQ(drain.name, "drain");
+  EXPECT_GT(src.frames_out, 0u);
   // 2G bursts through a 10G queue: nothing drops, every frame reaches
   // the sink and the byte accounting closes.
-  EXPECT_EQ(r.burst.rx_frames, r.burst.frames);
-  EXPECT_EQ(r.burst.tx_bytes, r.burst.frames * 64u);
-  EXPECT_EQ(r.burst.rx_bytes, r.burst.tx_bytes);
+  EXPECT_EQ(drain.frames_in, src.frames_out);
+  EXPECT_EQ(drain.frame_bytes, src.frames_out * 64u);
   EXPECT_EQ(r.graph_drops, 0u);
+  // The source's own counters, flushed when the graph was torn down.
+  auto& reg = telemetry::registry();
+  EXPECT_GT(reg.counter("graph.src.bursts").value(), 0u);
+  EXPECT_EQ(reg.counter("graph.src.tx_bytes").value(), src.frames_out * 64u);
 }
 
 // ----------------------------------------- determinism across --jobs

@@ -271,7 +271,7 @@ TEST(Graph, MonitorTapsWithoutModifying) {
   eng.run();
 
   ASSERT_EQ(out.pkts.size(), 2u);
-  EXPECT_EQ(mon.bytes(), expect_bytes);
+  EXPECT_EQ(mon.bytes_in(), expect_bytes);
   EXPECT_EQ(mon.fcs_errors(), 1u);
   EXPECT_EQ(mon.frame_bytes().count(), 2u);
   EXPECT_TRUE(out.pkts[1].fcs_bad);  // the tap forwards even bad frames

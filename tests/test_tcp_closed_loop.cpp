@@ -225,5 +225,19 @@ TEST(TcpClosedLoop, RerunsAreByteIdenticalForFixedSeed) {
   EXPECT_EQ(a.goodput_bps, b.goodput_bps);
 }
 
+TEST(TcpMss, MaxMssIsTheLargestSegmentThatDelivers) {
+  // kMaxMss is derived from the headers every data segment carries. One
+  // byte more builds a 1519 B frame that the MAC drops, so nothing is
+  // ever acked; that is why the front-ends reject it.
+  EXPECT_EQ(kMaxMss, 1448u);
+  WorkloadConfig cfg = base_cfg("newreno", 1);
+  cfg.mss = kMaxMss;
+  EXPECT_GT(run_closed_loop_trial(cfg, kPicosPerMilli).bytes_acked, 0u);
+  cfg.mss = kMaxMss + 1;
+  const auto over = run_closed_loop_trial(cfg, kPicosPerMilli);
+  EXPECT_GT(over.segs_sent, 0u);
+  EXPECT_EQ(over.bytes_acked, 0u);
+}
+
 }  // namespace
 }  // namespace osnt::tcp

@@ -114,6 +114,89 @@ TEST(Topology, HostileNestingIsAPositionedError) {
   EXPECT_EQ(at_limit.find("nesting"), std::string::npos) << at_limit;
 }
 
+TEST(Topology, HostileEndpointPortIsAPositionedError) {
+  // A port past 32 bits is a positioned load error, not a process abort.
+  const std::string msg = load_error(R"({
+    "name": "t",
+    "blocks": [{"name": "q", "type": "fifo_queue"}],
+    "workload": {"kind": "cbr", "ingress": "q:99999999999999999999999",
+                 "egress": "q:0"}
+  })");
+  expect_contains(msg, "workload.ingress: port in endpoint");
+  expect_contains(msg, "exceeds 4294967295");
+  expect_contains(msg, "(line 4 column 44)");
+
+  const std::string edge = load_error(R"({
+    "name": "t",
+    "blocks": [{"name": "q", "type": "fifo_queue"},
+               {"name": "s", "type": "sink"}],
+    "edges": [{"from": "q:4294967296", "to": "s"}]
+  })");
+  expect_contains(edge, "edges[0].from: port in endpoint");
+  expect_contains(edge, "(line 5 column 24)");
+
+  // Anything but plain digits after the colon is still a bad port.
+  for (const char* port : {"q:", "q:-1", "q:+1", "q:1x"}) {
+    const std::string bad = load_error(
+        std::string(R"({"blocks": [{"name": "q", "type": "fifo_queue"}],
+          "edges": [{"from": ")") +
+        port + R"(", "to": "q"}]})");
+    expect_contains(bad, "bad port in endpoint");
+  }
+}
+
+TEST(Topology, WorkloadCountsDoNotNarrow) {
+  // 2^32 + 1 must not wrap to 1 in the 32-bit fields.
+  const std::string mss = load_error(R"({
+    "name": "t",
+    "blocks": [{"name": "q", "type": "fifo_queue"}],
+    "workload": {"kind": "tcp", "mss": 4294967297,
+                 "ingress": "q:0", "egress": "q:0"}
+  })");
+  expect_contains(mss, "workload: 'mss' must be in [1, 1448]");
+  expect_contains(mss, "(line 4 column 40)");
+
+  const std::string flows = load_error(R"({
+    "name": "t",
+    "blocks": [{"name": "q", "type": "fifo_queue"}],
+    "workload": {"kind": "cbr", "flows": 4294967297,
+                 "ingress": "q:0", "egress": "q:0"}
+  })");
+  expect_contains(flows, "workload: 'flows' must be in [1, 4294967295]");
+  expect_contains(flows, "(line 4 column 42)");
+
+  // Counts past 2^64 fail as counts, not as a float-to-int conversion.
+  const std::string huge = load_error(R"({
+    "name": "t",
+    "blocks": [{"name": "q", "type": "fifo_queue", "queue_frames": 1e30}]
+  })");
+  expect_contains(huge, "'queue_frames' must be a non-negative integer");
+}
+
+TEST(Topology, MssMustFitOneEthernetFrame) {
+  // The MAC drops a frame over 1518 B, so a larger MSS never delivers.
+  const std::string over = load_error(R"({
+    "name": "t",
+    "blocks": [{"name": "q", "type": "fifo_queue"}],
+    "workload": {"kind": "tcp", "mss": 1449,
+                 "ingress": "q:0", "egress": "q:0"}
+  })");
+  expect_contains(over, "'mss' must be in [1, 1448]");
+  const std::string zero = load_error(R"({
+    "name": "t",
+    "blocks": [{"name": "q", "type": "fifo_queue"}],
+    "workload": {"kind": "tcp", "mss": 0, "ingress": "q:0", "egress": "q:0"}
+  })");
+  expect_contains(zero, "'mss' must be in [1, 1448]");
+
+  const auto at_bound = graph::TopologyFile::from_json(R"({
+    "name": "t",
+    "blocks": [{"name": "q", "type": "fifo_queue"}],
+    "workload": {"kind": "tcp", "mss": 1448, "ingress": "q:0", "egress": "q:0"}
+  })");
+  EXPECT_EQ(at_bound.workload.mss, tcp::kMaxMss);
+}
+
 TEST(Topology, DanglingEdgeIsAnError) {
   const std::string msg = load_error(R"({
     "name": "t",

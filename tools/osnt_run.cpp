@@ -11,15 +11,14 @@
 //                       [--jobs N]
 //   osnt_run capture    [--rate-gbps N] [--snap N] [--flows N]
 //                       [--pcap-out PATH]
-//   osnt_run tcp        [--cc newreno|cubic|bbr] [--flows N]
+//   osnt_run tcp        [--cc newreno|cubic|bbr] [--flows N] [--mss N]
 //                       [--duration-ms N] [--bottleneck-gbps N]
 //                       [--queue-segments N] [--rate-limit-detector]
 //                       [--faults PLAN.json]
 //                       [--trials N] [--jobs N] [--series-out PATH]
 //   osnt_run topo       FILE.json [--seed N] [--duration-ms N]
 //                       [--trials N] [--jobs N] [--faults PLAN.json]
-//                       [--series-out PATH] [--series-interval-us N]
-//                       [--validate-only]
+//                       [--series-out PATH] [--validate-only]
 //   osnt_run oflops     [--module M] [--table-size N] [--rounds N]
 //                       [--faults PLAN.json]
 //
@@ -29,14 +28,15 @@
 // in *sim* time (open in Perfetto / chrome://tracing); --metrics-out
 // snapshots the process-wide telemetry registry as JSON at end of run.
 // latency, tcp, and topo additionally take --series-out PATH
-// [--series-interval-us N | --series-interval-ms N] (default 1 ms): a
-// sim-time sampler stores per-interval counter deltas and RTT-histogram
-// slices and writes one "osnt.series.v1" JSON, byte-identical at any
-// --jobs value (per-trial series merge commutatively).
-// --faults loads
-// a deterministic fault plan (see examples/faults/) and injects it into
-// the testbed; fault activations show up as a "fault/*" trace track and
-// in the fault.* metric family.
+// [--series-interval-ms F] (default 1 ms; fractions give sub-millisecond
+// intervals): a sim-time sampler stores per-interval counter deltas and
+// RTT-histogram slices and writes one "osnt.series.v1" JSON,
+// byte-identical at any --jobs value (per-trial series merge
+// commutatively). A topology's traffic comes from its workload stanza
+// (tcp or cbr through the device ports) and from burst_source blocks.
+// --faults loads a deterministic fault plan (see examples/faults/) and
+// injects it into the testbed; fault activations show up as a "fault/*"
+// trace track and in the fault.* metric family.
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -83,7 +83,6 @@ struct ObservabilityFlags {
   std::string trace_path;
   std::string metrics_path;
   std::string series_path;
-  double series_interval_us = 0.0;
   double series_interval_ms = 0.0;
   telemetry::TraceRecorder rec;
 
@@ -98,10 +97,9 @@ struct ObservabilityFlags {
   void add_series_to(CliParser& cli) {
     cli.add_flag("series-out", &series_path,
                  "write a sim-time telemetry series JSON here");
-    cli.add_flag("series-interval-us", &series_interval_us,
-                 "series sampling interval, microseconds");
     cli.add_flag("series-interval-ms", &series_interval_ms,
-                 "series sampling interval, milliseconds (default 1)");
+                 "series sampling interval in ms, fractions allowed "
+                 "(default 1)");
   }
 
   [[nodiscard]] bool trace_enabled() const { return !trace_path.empty(); }
@@ -110,24 +108,19 @@ struct ObservabilityFlags {
   /// Resolved sampling interval; 0 when --series-out was not given.
   [[nodiscard]] Picos series_interval() const {
     if (series_path.empty()) return 0;
-    if (series_interval_us > 0.0) return from_micros(series_interval_us);
-    if (series_interval_ms > 0.0) {
-      return from_micros(series_interval_ms * 1000.0);
-    }
-    return kPicosPerMilli;
+    const double ms = series_interval_ms > 0.0 ? series_interval_ms : 1.0;
+    return from_micros(ms * 1000.0);
   }
 
-  /// Post-parse validation of the series flags (at most one unit, and an
-  /// interval without a destination is a mistake worth flagging).
-  [[nodiscard]] bool validate_series() const {
-    if (series_interval_us > 0.0 && series_interval_ms > 0.0) {
-      std::fprintf(stderr,
-                   "--series-interval given in more than one unit\n");
+  /// Post-parse checks: an interval without a destination is a mistake
+  /// worth flagging, and sharded trials cannot share the trace recorder.
+  [[nodiscard]] bool validate(std::int64_t trials, std::int64_t jobs) const {
+    if (series_interval_ms > 0.0 && series_path.empty()) {
+      std::fprintf(stderr, "--series-interval-ms requires --series-out\n");
       return false;
     }
-    if ((series_interval_us > 0.0 || series_interval_ms > 0.0) &&
-        series_path.empty()) {
-      std::fprintf(stderr, "--series-interval-* requires --series-out\n");
+    if (trace_enabled() && (trials != 1 || jobs != 1)) {
+      std::fprintf(stderr, "--trace requires --trials 1 --jobs 1\n");
       return false;
     }
     return true;
@@ -179,29 +172,39 @@ struct ObservabilityFlags {
   }
 };
 
-struct DutHolder {
-  std::unique_ptr<graph::Graph> g;
-};
+/// Load --faults PATH into `plan` (left empty when no path was given)
+/// and print its summary. False, after a stderr diagnostic, on a bad plan.
+bool load_fault_plan(const std::string& path, fault::FaultPlan& plan) {
+  if (path.empty()) return true;
+  try {
+    plan = fault::FaultPlan::load(path);
+  } catch (const fault::PlanError& e) {
+    std::fprintf(stderr, "bad fault plan %s: %s\n", path.c_str(), e.what());
+    return false;
+  }
+  std::printf("fault plan: %s\n", plan.summary().c_str());
+  return true;
+}
 
 /// Wire OSNT port 0 → DUT → OSNT port 1 (or back-to-back for "none").
 /// The DUT is a one-node scenario graph, so the driver exercises the
-/// same seam the topology loader does.
-DutHolder wire(sim::Engine& eng, core::OsntDevice& osnt,
-               const std::string& dut) {
-  DutHolder h;
+/// same seam the topology loader does. The graph (null for "none") must
+/// outlive the run.
+std::unique_ptr<graph::Graph> wire(sim::Engine& eng, core::OsntDevice& osnt,
+                                   const std::string& dut) {
   if (dut == "none") {
     hw::connect(osnt.port(0), osnt.port(1));
-    return h;
+    return nullptr;
   }
   dut::LegacySwitchConfig cfg;
   if (dut == "lossy") cfg.lookup_rate_mpps = 2.0;
-  h.g = std::make_unique<graph::Graph>(eng);
-  h.g->emplace<graph::LegacySwitchBlock>(eng, "dut", cfg);
-  osnt.port(0).out_link().connect(h.g->input("dut", 0));
-  osnt.port(1).out_link().connect(h.g->input("dut", 1));
-  h.g->connect_output("dut", 0, osnt.port(0).rx());
-  h.g->connect_output("dut", 1, osnt.port(1).rx());
-  h.g->start();
+  auto g = std::make_unique<graph::Graph>(eng);
+  g->emplace<graph::LegacySwitchBlock>(eng, "dut", cfg);
+  osnt.port(0).out_link().connect(g->input("dut", 0));
+  osnt.port(1).out_link().connect(g->input("dut", 1));
+  g->connect_output("dut", 0, osnt.port(0).rx());
+  g->connect_output("dut", 1, osnt.port(1).rx());
+  g->start();
   // Prime MAC learning for the monitor-side address.
   net::PacketBuilder b;
   (void)osnt.port(1).tx().transmit(
@@ -211,7 +214,7 @@ DutHolder wire(sim::Engine& eng, core::OsntDevice& osnt,
           .udp(5001, 1024)
           .build());
   eng.run();
-  return h;
+  return g;
 }
 
 int cmd_latency(int argc, const char* const* argv) {
@@ -238,19 +241,10 @@ int cmd_latency(int argc, const char* const* argv) {
   obs.add_to(cli);
   obs.add_series_to(cli);
   if (!cli.parse(argc, argv)) return cli.help_requested() ? 0 : 1;
-  if (!obs.validate_series()) return 1;
+  if (!obs.validate(1, 1)) return 1;
 
   fault::FaultPlan fplan;
-  if (!faults_path.empty()) {
-    try {
-      fplan = fault::FaultPlan::load(faults_path);
-    } catch (const fault::PlanError& e) {
-      std::fprintf(stderr, "bad fault plan %s: %s\n", faults_path.c_str(),
-                   e.what());
-      return 1;
-    }
-    std::printf("fault plan: %s\n", fplan.summary().c_str());
-  }
+  if (!load_fault_plan(faults_path, fplan)) return 1;
 
   core::RunResult r;
   telemetry::SeriesData sdata;
@@ -264,7 +258,7 @@ int cmd_latency(int argc, const char* const* argv) {
     sim::Engine eng;
     obs.attach(eng);
     core::OsntDevice osnt{eng};
-    auto holder = wire(eng, osnt, dut);
+    const auto dut_graph = wire(eng, osnt, dut);
 
     std::unique_ptr<fault::Injector> inj;
     if (!fplan.events.empty()) {
@@ -368,7 +362,7 @@ int cmd_throughput(int argc, const char* const* argv) {
     sim::Engine eng;
     obs.attach(eng);
     core::OsntDevice osnt{eng};
-    auto holder = wire(eng, osnt, dut);
+    const auto dut_graph = wire(eng, osnt, dut);
     core::TrafficSpec spec;
     spec.rate = gen::RateSpec::line_rate(pt.load_fraction);
     spec.frame_size = pt.frame_size;
@@ -520,7 +514,6 @@ int cmd_tcp(int argc, const char* const* argv) {
   double duration_ms = 10.0, bottleneck_gbps = 5.0;
   bool rate_limit_detector = false;
   std::string faults_path;
-  std::string timers = "wheel";
   ObservabilityFlags obs;
   CliParser cli{
       "osnt_run tcp — closed-loop congestion-controlled flows over the "
@@ -528,7 +521,8 @@ int cmd_tcp(int argc, const char* const* argv) {
   cli.add_flag("cc", &cc, "congestion control: newreno|cubic|bbr");
   cli.add_flag("flows", &flows, "concurrent flows sharing the bottleneck");
   cli.add_flag("duration-ms", &duration_ms, "simulated test duration");
-  cli.add_flag("mss", &mss, "segment payload bytes (1448 = 1518B frames)");
+  cli.add_flag("mss", &mss,
+               "segment payload bytes, at most 1448 (= 1518 B frames)");
   cli.add_flag("bottleneck-gbps", &bottleneck_gbps,
                "bottleneck drain rate (0 = port line rate)");
   cli.add_flag("queue-segments", &queue_segments,
@@ -537,10 +531,6 @@ int cmd_tcp(int argc, const char* const* argv) {
   cli.add_flag("rate-limit-detector", &rate_limit_detector,
                "detect in-path policers/shapers and adapt the cc to them");
   cli.add_flag("seed", &seed, "base seed (trial i runs at seed+i)");
-  cli.add_flag("timers",
-               &timers,
-               "bulk-timer routing: wheel (O(1) timing wheel) | heap "
-               "(baseline; identical results, slower at high --flows)");
   cli.add_flag("faults", &faults_path, "JSON fault plan to inject");
   cli.add_flag("trials", &trials, "independent trials (distinct seeds)");
   cli.add_flag("jobs", &jobs,
@@ -548,31 +538,18 @@ int cmd_tcp(int argc, const char* const* argv) {
   obs.add_to(cli);
   obs.add_series_to(cli);
   if (!cli.parse(argc, argv)) return cli.help_requested() ? 0 : 1;
-  if (!obs.validate_series()) return 1;
-  if (flows <= 0 || trials <= 0 || mss <= 0) {
-    std::fprintf(stderr, "--flows/--trials/--mss must be positive\n");
+  if (flows <= 0 || trials <= 0) {
+    std::fprintf(stderr, "--flows/--trials must be positive\n");
     return 1;
   }
-  if (timers != "wheel" && timers != "heap") {
-    std::fprintf(stderr, "--timers must be wheel or heap\n");
+  if (mss <= 0 || mss > tcp::kMaxMss) {
+    std::fprintf(stderr, "--mss must be in [1, %u]\n", tcp::kMaxMss);
     return 1;
   }
-  if (obs.trace_enabled() && (trials != 1 || jobs != 1)) {
-    std::fprintf(stderr, "--trace requires --trials 1 --jobs 1\n");
-    return 1;
-  }
+  if (!obs.validate(trials, jobs)) return 1;
 
   fault::FaultPlan fplan;
-  if (!faults_path.empty()) {
-    try {
-      fplan = fault::FaultPlan::load(faults_path);
-    } catch (const fault::PlanError& e) {
-      std::fprintf(stderr, "bad fault plan %s: %s\n", faults_path.c_str(),
-                   e.what());
-      return 1;
-    }
-    std::printf("fault plan: %s\n", fplan.summary().c_str());
-  }
+  if (!load_fault_plan(faults_path, fplan)) return 1;
 
   tcp::WorkloadConfig base;
   base.flows = static_cast<std::size_t>(flows);
@@ -582,7 +559,6 @@ int cmd_tcp(int argc, const char* const* argv) {
   base.queue_segments = static_cast<std::size_t>(queue_segments);
   base.rwnd_bytes = static_cast<std::uint64_t>(rwnd_kb) * 1024;
   base.rate_limit_detector = rate_limit_detector;
-  base.wheel_timers = timers == "wheel";
   const Picos duration = from_micros(duration_ms * 1000.0);
 
   // One trial = one fresh closed-loop testbed; trials shard across the
@@ -687,7 +663,6 @@ int cmd_topo(int argc, const char* const* argv) {
   obs.add_to(cli);
   obs.add_series_to(cli);
   if (!cli.parse(argc, argv)) return cli.help_requested() ? 0 : 1;
-  if (!obs.validate_series()) return 1;
   if (cli.positional().size() != 1) {
     std::fprintf(stderr, "usage: osnt_run topo FILE.json [flags]\n");
     return 1;
@@ -696,10 +671,7 @@ int cmd_topo(int argc, const char* const* argv) {
     std::fprintf(stderr, "--trials must be positive\n");
     return 1;
   }
-  if (obs.trace_enabled() && (trials != 1 || jobs != 1)) {
-    std::fprintf(stderr, "--trace requires --trials 1 --jobs 1\n");
-    return 1;
-  }
+  if (!obs.validate(trials, jobs)) return 1;
 
   graph::TopologyFile topo;
   try {
@@ -714,25 +686,15 @@ int cmd_topo(int argc, const char* const* argv) {
       duration_ms > 0 ? from_micros(duration_ms * 1000.0) : topo.duration;
 
   fault::FaultPlan fplan;
-  if (!faults_path.empty()) {
-    try {
-      fplan = fault::FaultPlan::load(faults_path);
-    } catch (const fault::PlanError& e) {
-      std::fprintf(stderr, "bad fault plan %s: %s\n", faults_path.c_str(),
-                   e.what());
-      return 1;
-    }
-    std::printf("fault plan: %s\n", fplan.summary().c_str());
-  }
+  if (!load_fault_plan(faults_path, fplan)) return 1;
 
   std::printf("topology %s: %zu blocks, %zu edges, workload %s\n",
               topo.name.empty() ? cli.positional()[0].c_str()
                                 : topo.name.c_str(),
               topo.blocks.size(), topo.edges.size(),
-              topo.workload.kind == graph::WorkloadSpec::Kind::kTcp     ? "tcp"
-              : topo.workload.kind == graph::WorkloadSpec::Kind::kCbr   ? "cbr"
-              : topo.workload.kind == graph::WorkloadSpec::Kind::kBurst ? "burst"
-                                                                        : "none");
+              topo.workload.kind == graph::WorkloadSpec::Kind::kTcp   ? "tcp"
+              : topo.workload.kind == graph::WorkloadSpec::Kind::kCbr ? "cbr"
+                                                                      : "none");
 
   if (validate_only) {
     // Dry run: the file already parsed and wired, so all that is left is
@@ -774,9 +736,6 @@ int cmd_topo(int argc, const char* const* argv) {
     s.rx_frames = rep.graph_frames_in - rep.graph_drops;
     if (topo.workload.kind == graph::WorkloadSpec::Kind::kTcp) {
       s.metric = rep.tcp.goodput_bps;
-    } else if (topo.workload.kind == graph::WorkloadSpec::Kind::kBurst) {
-      s.tx_frames = rep.burst.frames;
-      s.rx_frames = rep.burst.rx_frames;
     }
     return s;
   };
@@ -826,15 +785,6 @@ int cmd_topo(int argc, const char* const* argv) {
           static_cast<unsigned long long>(rep.cbr.tx_frames),
           static_cast<unsigned long long>(rep.cbr.rx_frames),
           rep.cbr.loss_fraction() * 100.0,
-          static_cast<unsigned long long>(rep.graph_drops));
-    } else if (topo.workload.kind == graph::WorkloadSpec::Kind::kBurst) {
-      std::printf(
-          "trial %zu seed %llu: %llu frames in %llu bursts  rx %llu  "
-          "graph drops %llu\n",
-          i, static_cast<unsigned long long>(tr.seed_used),
-          static_cast<unsigned long long>(rep.burst.frames),
-          static_cast<unsigned long long>(rep.burst.bursts),
-          static_cast<unsigned long long>(rep.burst.rx_frames),
           static_cast<unsigned long long>(rep.graph_drops));
     } else {
       std::printf("trial %zu seed %llu: %llu frames through the graph\n", i,
