@@ -52,7 +52,9 @@ void sweep(const char* label, double lookup_mpps) {
   cfg.resolution = 0.01;
   for (const std::size_t size : core::rfc2544_frame_sizes()) {
     const auto pt = core::find_throughput(
-        [&](double load, std::size_t fs) { return trial(load, fs, lookup_mpps); },
+        [&](const core::TrialPoint& p) {
+          return trial(p.load_fraction, p.frame_size, lookup_mpps);
+        },
         size, cfg);
     std::printf("%6zuB %11.1f%% %10.3f %10.3f %14.1f\n", pt.frame_size,
                 pt.max_load_fraction * 100.0, pt.gbps, pt.mpps,

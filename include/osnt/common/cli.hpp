@@ -12,7 +12,7 @@ namespace osnt {
 
 /// Levenshtein distance with two rolling rows — names are short, so the
 /// quadratic DP is microscopic. Shared by the CLI's unknown-flag hint and
-/// the topology loader's unknown-block-type hint.
+/// the schema loaders' unknown-key/unknown-name hints.
 [[nodiscard]] std::size_t edit_distance(const std::string& a,
                                         const std::string& b);
 
@@ -21,6 +21,11 @@ namespace osnt {
 /// to roughly a third of the name's length for long ones.
 [[nodiscard]] std::string suggest_nearest(
     const std::string& name, const std::vector<std::string>& candidates);
+
+/// " (did you mean 'X'?)" naming suggest_nearest()'s pick, or "" when
+/// nothing is close: the one suffix every schema diagnostic appends.
+[[nodiscard]] std::string did_you_mean(
+    const std::string& word, const std::vector<std::string>& candidates);
 
 class CliParser {
  public:

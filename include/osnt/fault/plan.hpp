@@ -51,7 +51,7 @@ struct FaultEvent {
   /// name is a hard error (unlike link faults, which skip-with-warning —
   /// a chaos plan aimed at a block that does not exist is a bad plan,
   /// not a benign mismatch).
-  std::string target;
+  std::string target{};
   double rate_gbps = 0.0;        ///< kRateLimit: new bucket rate (> 0)
   std::int64_t burst_bytes = -1; ///< kRateLimit: new burst; -1 = keep
   std::size_t queue_frames = 0;  ///< kQueueCap: new frame budget (>= 1)

@@ -1,12 +1,13 @@
 // ClosedLoopWorkload: N congestion-controlled flows over one cabled pair
-// of OSNT ports. The sender side lives on `tx_port`: per-flow tcp::Flow
+// of OSNT ports. The sender side lives on port 0: per-flow tcp::Flow
 // state machines emit TCP/IPv4 frames into one shared
 // gen::ClosedLoopSource, which the port's TX pipeline drains at the
 // configured bottleneck rate (the queue bound is the bottleneck buffer).
-// The receiver side hangs off `rx_port`'s monitor pipeline tap: per-flow
+// The receiver side hangs off port 1's monitor pipeline tap: per-flow
 // delayed-ACK reassembly state that transmits cumulative/duplicate ACKs
-// back through the reverse sim link — so loss injected anywhere on the
-// path (osnt::fault BER windows, flaps) closes the control loop.
+// (at most 200 us late) back through the reverse sim link — so loss
+// injected anywhere on the path (osnt::fault BER windows, flaps) closes
+// the control loop. DMA capture stays off on both ports.
 //
 // Built for flow counts in the 10k–1M range (DESIGN.md §12): flows live
 // in a generation-counted Slab (no per-flow unique_ptr), receiver state
@@ -43,12 +44,8 @@ struct WorkloadConfig {
   std::size_t queue_segments = 256;  ///< bottleneck buffer, in frames
   std::uint64_t rwnd_bytes = std::uint64_t{1} << 20;
   std::uint64_t bytes_per_flow = 0;  ///< 0 = unbounded (duration-limited)
-  std::size_t tx_port = 0;
-  std::size_t rx_port = 1;
   Picos min_rto = kPicosPerMilli;    ///< sim-scaled; see DESIGN.md §11
   Picos max_rto = 250 * kPicosPerMilli;
-  Picos delayed_ack_timeout = 200 * kPicosPerMicro;
-  bool capture = false;              ///< keep the DMA capture path off
   /// Route RTO/delack/pacing timers through the engine's timing wheel
   /// (schedule_bulk_*). false = heap-only; firing order and kSimOnly
   /// telemetry are identical either way (DESIGN.md §12).
@@ -164,7 +161,7 @@ struct TcpTrialReport {
 
 class ClosedLoopWorkload {
  public:
-  /// Reconfigures `tx_port`'s generator pipeline, installs monitor taps
+  /// Reconfigures port 0's generator pipeline, installs monitor taps
   /// on both ports, and sets the engine's bulk-timer routing from
   /// cfg.wheel_timers. The engine and device must outlive the workload;
   /// the workload must be destroyed before either (it cancels its timers

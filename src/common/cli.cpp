@@ -37,6 +37,12 @@ std::string suggest_nearest(const std::string& name,
   return winner && best <= limit ? *winner : std::string();
 }
 
+std::string did_you_mean(const std::string& word,
+                         const std::vector<std::string>& candidates) {
+  const std::string hint = suggest_nearest(word, candidates);
+  return hint.empty() ? hint : " (did you mean '" + hint + "'?)";
+}
+
 CliParser::CliParser(std::string program_description)
     : description_(std::move(program_description)) {}
 

@@ -322,9 +322,8 @@ std::string Injector::unknown_target_(const FaultEvent& ev,
   }
   std::string msg = std::string("fault plan: ") + fault_kind_name(ev.kind) +
                     " event " + std::to_string(ordinal) +
-                    " targets unknown block '" + ev.target + "'";
-  const std::string hint = suggest_nearest(ev.target, names);
-  if (!hint.empty()) msg += " (did you mean '" + hint + "'?)";
+                    " targets unknown block '" + ev.target + "'" +
+                    did_you_mean(ev.target, names);
   if (names.empty()) {
     msg += " — no ";
     msg += buckets_only ? "token_bucket" : "queue";

@@ -1,8 +1,7 @@
 #include "osnt/fault/plan.hpp"
 
-#include <cmath>
-#include <cstdio>
 #include <algorithm>
+#include <cstdio>
 #include <utility>
 
 #include "osnt/common/cli.hpp"
@@ -16,236 +15,123 @@ namespace {
 // PlanError so fault-plan callers keep a single exception type.
 using Json = json::Value;
 
-// ---------------------------------------------------------------------------
-// Schema mapping
-// ---------------------------------------------------------------------------
-
-/// Schema failure for event `i`. When the offending JSON node (or its
-/// enclosing event object) is at hand, the error carries its
-/// line/column, matching the topology loader's diagnostics.
-[[noreturn]] void bad_event(std::size_t i, const std::string& why,
-                            const Json* at = nullptr) {
-  std::string msg = "fault plan event " + std::to_string(i) + ": " + why;
-  if (at != nullptr && at->line > 0) msg += " (" + at->where() + ")";
-  throw PlanError(msg);
+[[noreturn]] void bad_event(std::size_t i, const std::string& why) {
+  throw PlanError("fault plan event " + std::to_string(i) + ": " + why);
 }
 
-double number_field(const Json& ev, const std::string& key, std::size_t i) {
-  const Json* v = ev.find(key);
-  if (!v || v->type != Json::Type::kNumber) {
-    bad_event(i, "'" + key + "' must be a number", v ? v : &ev);
-  }
-  return v->number;
-}
-
-std::string string_field(const Json& ev, const std::string& key,
-                         std::size_t i) {
-  const Json* v = ev.find(key);
-  if (!v || v->type != Json::Type::kString) {
-    bad_event(i, "'" + key + "' must be a string", v ? v : &ev);
-  }
-  return v->string;
-}
-
-/// Reads `<base>_ns` / `<base>_us` / `<base>_ms` (at most one may appear)
-/// into picoseconds. Returns `fallback` when absent and not required.
-Picos time_field(const Json& ev, const std::string& base, std::size_t i,
-                 bool required, Picos fallback = 0) {
-  static constexpr struct {
-    const char* suffix;
-    double to_ps;
-  } kUnits[] = {{"_ns", 1e3}, {"_us", 1e6}, {"_ms", 1e9}};
-  const Json* found = nullptr;
-  double scale = 0.0;
-  for (const auto& u : kUnits) {
-    if (const Json* v = ev.find(base + u.suffix)) {
-      if (found) {
-        bad_event(i, "'" + base + "' given in more than one unit", v);
-      }
-      found = v;
-      scale = u.to_ps;
-    }
-  }
-  if (!found) {
-    if (required) {
-      bad_event(i, "missing required field '" + base + "_us'", &ev);
-    }
-    return fallback;
-  }
-  if (found->type != Json::Type::kNumber) {
-    bad_event(i, "'" + base + "' must be a number", found);
-  }
-  const double ps = found->number * scale;
-  if (ps < 0 || ps > 9.2e18) {
-    bad_event(i, "'" + base + "' out of range", found);
-  }
-  return static_cast<Picos>(ps);
-}
-
-std::vector<std::string> kind_names() {
-  std::vector<std::string> names;
-  names.reserve(kFaultKindCount);
+FaultKind kind_of(const json::ObjectReader& r, const Json& type) {
+  std::vector<std::string> known;
   for (std::size_t k = 0; k < kFaultKindCount; ++k) {
-    names.emplace_back(fault_kind_name(static_cast<FaultKind>(k)));
+    known.emplace_back(fault_kind_name(static_cast<FaultKind>(k)));
+    if (type.string == known.back()) return static_cast<FaultKind>(k);
   }
-  return names;
-}
-
-FaultKind kind_of(const std::string& type, std::size_t i,
-                  const Json* at) {
-  for (std::size_t k = 0; k < kFaultKindCount; ++k) {
-    if (type == fault_kind_name(static_cast<FaultKind>(k))) {
-      return static_cast<FaultKind>(k);
-    }
-  }
-  const std::vector<std::string> known = kind_names();
-  std::string msg = "unknown type '" + type + "'";
-  const std::string hint = suggest_nearest(type, known);
-  if (!hint.empty()) msg += " (did you mean '" + hint + "'?)";
-  msg += " — known:";
+  std::string msg = "unknown type '" + type.string + "'" +
+                    did_you_mean(type.string, known) + " — known:";
   for (std::size_t k = 0; k < known.size(); ++k) {
     msg += std::string(k ? ", " : " ") + known[k];
   }
-  bad_event(i, msg, at);
+  r.fail(msg, &type);
 }
 
-/// The keys each fault kind understands beyond "type"; anything else in
-/// the event object is a hard error (typos must not silently no-op), with
-/// the offending key's position and a did-you-mean over the allowed set.
-void check_keys(const Json& ev, FaultKind kind, std::size_t i) {
-  std::vector<std::string> allowed = {
-      "type",        "at_ns",       "at_us",       "at_ms",
-      "duration_ns", "duration_us", "duration_ms"};
-  switch (kind) {
+/// One event. Each kind reads only its own keys, so a key another kind
+/// understands is as unknown here as a typo.
+FaultEvent read_event(const Json& ev, std::size_t i) {
+  const std::string who = "fault plan event " + std::to_string(i);
+  json::ObjectReader r(ev, who);
+  const Json& type = r.required("type", Json::Type::kString);
+  FaultEvent e;
+  e.kind = kind_of(r, type);
+  r.set_prefix(who + " (" + type.string + ")");
+  e.at = r.required_time("at");
+  e.duration = r.time("duration", 0);
+  switch (e.kind) {
     case FaultKind::kLinkFlap:
-      allowed.emplace_back("link");
+      e.link = r.count("link", e.link);
       break;
     case FaultKind::kBerWindow:
-      for (const char* k : {"link", "ber", "ramp_ns", "ramp_us", "ramp_ms"}) {
-        allowed.emplace_back(k);
-      }
+      e.link = r.count("link", e.link);
+      e.ber = r.required_number("ber");
+      e.ramp = r.time("ramp", 0);
       break;
     case FaultKind::kLatencySpike:
-      for (const char* k : {"link", "extra_ns", "extra_us", "extra_ms"}) {
-        allowed.emplace_back(k);
-      }
+      e.link = r.count("link", e.link);
+      e.extra_delay = r.required_time("extra");
       break;
     case FaultKind::kDmaStall:
     case FaultKind::kCtrlDisconnect:
     case FaultKind::kGpsLoss:
       break;
     case FaultKind::kRateLimit:
-      for (const char* k : {"target", "rate_gbps", "burst_bytes", "ramp_ns",
-                            "ramp_us", "ramp_ms"}) {
-        allowed.emplace_back(k);
-      }
+      e.target = r.required_string("target");
+      e.rate_gbps = r.required_number("rate_gbps");
+      e.ramp = r.time("ramp", 0);
+      e.burst_bytes = r.count("burst_bytes", e.burst_bytes, 1);
       break;
     case FaultKind::kQueueCap:
-      for (const char* k : {"target", "queue_frames"}) {
-        allowed.emplace_back(k);
-      }
+      e.target = r.required_string("target");
+      e.queue_frames = r.required_count<std::size_t>("queue_frames", 1);
       break;
   }
-  for (const auto& [k, v] : ev.object) {
-    if (std::find(allowed.begin(), allowed.end(), k) != allowed.end()) {
-      continue;
-    }
-    std::string msg = "unknown key '" + k + "' for type '" +
-                      std::string(fault_kind_name(kind)) + "'";
-    const std::string hint = suggest_nearest(k, allowed);
-    if (!hint.empty()) msg += " (did you mean '" + hint + "'?)";
-    bad_event(i, msg, &v);
-  }
+  r.finish();
+  return e;
 }
 
 }  // namespace
 
 FaultPlan& FaultPlan::link_flap(Picos at, Picos duration, int link) {
-  FaultEvent e;
-  e.kind = FaultKind::kLinkFlap;
-  e.at = at;
-  e.duration = duration;
-  e.link = link;
-  events.push_back(e);
+  events.push_back({.kind = FaultKind::kLinkFlap, .at = at,
+                    .duration = duration, .link = link});
   return *this;
 }
 
 FaultPlan& FaultPlan::ber_window(Picos at, Picos duration, double ber,
                                  Picos ramp, int link) {
-  FaultEvent e;
-  e.kind = FaultKind::kBerWindow;
-  e.at = at;
-  e.duration = duration;
-  e.ber = ber;
-  e.ramp = ramp;
-  e.link = link;
-  events.push_back(e);
+  events.push_back({.kind = FaultKind::kBerWindow, .at = at,
+                    .duration = duration, .link = link, .ber = ber,
+                    .ramp = ramp});
   return *this;
 }
 
 FaultPlan& FaultPlan::latency_spike(Picos at, Picos duration, Picos extra,
                                     int link) {
-  FaultEvent e;
-  e.kind = FaultKind::kLatencySpike;
-  e.at = at;
-  e.duration = duration;
-  e.extra_delay = extra;
-  e.link = link;
-  events.push_back(e);
+  events.push_back({.kind = FaultKind::kLatencySpike, .at = at,
+                    .duration = duration, .link = link, .extra_delay = extra});
   return *this;
 }
 
 FaultPlan& FaultPlan::dma_stall(Picos at, Picos duration) {
-  FaultEvent e;
-  e.kind = FaultKind::kDmaStall;
-  e.at = at;
-  e.duration = duration;
-  events.push_back(e);
+  events.push_back(
+      {.kind = FaultKind::kDmaStall, .at = at, .duration = duration});
   return *this;
 }
 
 FaultPlan& FaultPlan::ctrl_disconnect(Picos at, Picos duration) {
-  FaultEvent e;
-  e.kind = FaultKind::kCtrlDisconnect;
-  e.at = at;
-  e.duration = duration;
-  events.push_back(e);
+  events.push_back(
+      {.kind = FaultKind::kCtrlDisconnect, .at = at, .duration = duration});
   return *this;
 }
 
 FaultPlan& FaultPlan::gps_loss(Picos at, Picos duration) {
-  FaultEvent e;
-  e.kind = FaultKind::kGpsLoss;
-  e.at = at;
-  e.duration = duration;
-  events.push_back(e);
+  events.push_back(
+      {.kind = FaultKind::kGpsLoss, .at = at, .duration = duration});
   return *this;
 }
 
 FaultPlan& FaultPlan::rate_limit(Picos at, Picos duration, std::string target,
                                  double rate_gbps, Picos ramp,
                                  std::int64_t burst_bytes) {
-  FaultEvent e;
-  e.kind = FaultKind::kRateLimit;
-  e.at = at;
-  e.duration = duration;
-  e.target = std::move(target);
-  e.rate_gbps = rate_gbps;
-  e.ramp = ramp;
-  e.burst_bytes = burst_bytes;
-  events.push_back(e);
+  events.push_back({.kind = FaultKind::kRateLimit, .at = at,
+                    .duration = duration, .ramp = ramp,
+                    .target = std::move(target), .rate_gbps = rate_gbps,
+                    .burst_bytes = burst_bytes});
   return *this;
 }
 
 FaultPlan& FaultPlan::queue_cap(Picos at, Picos duration, std::string target,
                                 std::size_t queue_frames) {
-  FaultEvent e;
-  e.kind = FaultKind::kQueueCap;
-  e.at = at;
-  e.duration = duration;
-  e.target = std::move(target);
-  e.queue_frames = queue_frames;
-  events.push_back(e);
+  events.push_back({.kind = FaultKind::kQueueCap, .at = at,
+                    .duration = duration, .target = std::move(target),
+                    .queue_frames = queue_frames});
   return *this;
 }
 
@@ -287,83 +173,18 @@ void FaultPlan::normalize() {
 }
 
 FaultPlan FaultPlan::from_json(const std::string& text) {
-  const Json root = [&text] {
-    try {
-      return json::parse(text, "fault plan JSON");
-    } catch (const json::ParseError& e) {
-      throw PlanError(e.what());
-    }
-  }();
-  if (root.type != Json::Type::kObject) {
-    throw PlanError("fault plan JSON: root must be an object");
-  }
-  for (const auto& [k, v] : root.object) {
-    (void)v;
-    if (k != "seed" && k != "events") {
-      throw PlanError("fault plan JSON: unknown top-level key '" + k + "'");
-    }
-  }
   FaultPlan plan;
-  if (const Json* seed = root.find("seed")) {
-    if (seed->type != Json::Type::kNumber || seed->number < 0) {
-      throw PlanError("fault plan JSON: 'seed' must be a non-negative number");
+  try {
+    const Json root = json::parse(text, "fault plan JSON");
+    json::ObjectReader r(root, "fault plan");
+    plan.seed = r.count("seed", plan.seed);
+    const Json& events = r.required("events", Json::Type::kArray);
+    for (std::size_t i = 0; i < events.array.size(); ++i) {
+      plan.events.push_back(read_event(events.array[i], i));
     }
-    plan.seed = static_cast<std::uint64_t>(seed->number);
-  }
-  const Json* events = root.find("events");
-  if (!events || events->type != Json::Type::kArray) {
-    throw PlanError("fault plan JSON: 'events' array is required");
-  }
-  for (std::size_t i = 0; i < events->array.size(); ++i) {
-    const Json& ev = events->array[i];
-    if (ev.type != Json::Type::kObject) {
-      bad_event(i, "must be an object", &ev);
-    }
-    const Json* type = ev.find("type");
-    if (!type || type->type != Json::Type::kString) {
-      bad_event(i, "'type' string is required", type ? type : &ev);
-    }
-    FaultEvent e;
-    e.kind = kind_of(type->string, i, type);
-    check_keys(ev, e.kind, i);
-    e.at = time_field(ev, "at", i, /*required=*/true);
-    e.duration = time_field(ev, "duration", i, /*required=*/false);
-    if (const Json* link = ev.find("link")) {
-      if (link->type != Json::Type::kNumber || link->number < 0 ||
-          link->number != std::floor(link->number)) {
-        bad_event(i, "'link' must be a non-negative integer", link);
-      }
-      e.link = static_cast<int>(link->number);
-    }
-    if (e.kind == FaultKind::kBerWindow) {
-      e.ber = number_field(ev, "ber", i);
-      e.ramp = time_field(ev, "ramp", i, /*required=*/false);
-    }
-    if (e.kind == FaultKind::kLatencySpike) {
-      e.extra_delay = time_field(ev, "extra", i, /*required=*/true);
-    }
-    if (e.kind == FaultKind::kRateLimit) {
-      e.target = string_field(ev, "target", i);
-      e.rate_gbps = number_field(ev, "rate_gbps", i);
-      e.ramp = time_field(ev, "ramp", i, /*required=*/false);
-      if (const Json* burst = ev.find("burst_bytes")) {
-        if (burst->type != Json::Type::kNumber || burst->number < 1 ||
-            burst->number != std::floor(burst->number)) {
-          bad_event(i, "'burst_bytes' must be a positive integer", burst);
-        }
-        e.burst_bytes = static_cast<std::int64_t>(burst->number);
-      }
-    }
-    if (e.kind == FaultKind::kQueueCap) {
-      e.target = string_field(ev, "target", i);
-      const double frames = number_field(ev, "queue_frames", i);
-      if (frames < 1 || frames != std::floor(frames)) {
-        bad_event(i, "'queue_frames' must be a positive integer",
-                  ev.find("queue_frames"));
-      }
-      e.queue_frames = static_cast<std::size_t>(frames);
-    }
-    plan.events.push_back(e);
+    r.finish();
+  } catch (const json::ParseError& e) {
+    throw PlanError(e.what());
   }
   plan.normalize();
   return plan;

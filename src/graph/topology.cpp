@@ -17,6 +17,7 @@ namespace osnt::graph {
 namespace {
 
 using Json = json::Value;
+using Reader = json::ObjectReader;
 
 [[noreturn]] void fail(const std::string& why, const Json* at = nullptr) {
   std::string msg = "topology: " + why;
@@ -24,204 +25,59 @@ using Json = json::Value;
   throw TopologyError(msg);
 }
 
-std::string type_name(Json::Type t) {
-  switch (t) {
-    case Json::Type::kNull: return "null";
-    case Json::Type::kBool: return "bool";
-    case Json::Type::kNumber: return "number";
-    case Json::Type::kString: return "string";
-    case Json::Type::kArray: return "array";
-    case Json::Type::kObject: return "object";
-  }
-  return "?";
-}
-
-const Json& need(const Json& obj, const std::string& key, Json::Type t,
-                 const std::string& who) {
-  const Json* v = obj.find(key);
-  if (!v) fail(who + ": missing required key '" + key + "'", &obj);
-  if (!v->is(t)) {
-    fail(who + ": '" + key + "' must be a " + type_name(t) + ", got " +
-             type_name(v->type),
-         v);
-  }
-  return *v;
-}
-
-double number_or(const Json& obj, const std::string& key, double fallback,
-                 const std::string& who) {
-  const Json* v = obj.find(key);
-  if (!v) return fallback;
-  if (!v->is(Json::Type::kNumber)) {
-    fail(who + ": '" + key + "' must be a number", v);
-  }
-  return v->number;
-}
-
-/// A non-negative integer. A field with a range of its own (one stored
-/// in 32 bits, say) passes [lo, hi], so a bad value fails at the key
-/// instead of narrowing.
-std::size_t count_or(const Json& obj, const std::string& key,
-                     std::size_t fallback, const std::string& who,
-                     std::size_t lo = 0,
-                     std::size_t hi = std::numeric_limits<std::size_t>::max()) {
-  const double d = number_or(obj, key, static_cast<double>(fallback), who);
-  if (d < 0 || d >= 0x1p64 ||
-      d != static_cast<double>(static_cast<std::uint64_t>(d))) {
-    fail(who + ": '" + key + "' must be a non-negative integer",
-         obj.find(key));
-  }
-  const auto n = static_cast<std::size_t>(d);
-  if (n < lo || n > hi) {
-    fail(who + ": '" + key + "' must be in [" + std::to_string(lo) + ", " +
-             std::to_string(hi) + "]",
-         obj.find(key));
-  }
-  return n;
-}
-
-bool bool_or(const Json& obj, const std::string& key, bool fallback,
-             const std::string& who) {
-  const Json* v = obj.find(key);
-  if (!v) return fallback;
-  if (!v->is(Json::Type::kBool)) fail(who + ": '" + key + "' must be a bool", v);
-  return v->boolean;
-}
-
-std::string string_or(const Json& obj, const std::string& key,
-                      const std::string& fallback, const std::string& who) {
-  const Json* v = obj.find(key);
-  if (!v) return fallback;
-  if (!v->is(Json::Type::kString)) {
-    fail(who + ": '" + key + "' must be a string", v);
-  }
-  return v->string;
-}
-
-/// `<base>_ns` / `<base>_us` / `<base>_ms`, at most one unit (the same
-/// convention as fault plans). Returns `fallback` when absent.
-Picos time_or(const Json& obj, const std::string& base, Picos fallback,
-              const std::string& who) {
-  static constexpr struct {
-    const char* suffix;
-    double to_ps;
-  } kUnits[] = {{"_ns", 1e3}, {"_us", 1e6}, {"_ms", 1e9}};
-  const Json* found = nullptr;
-  double scale = 0.0;
-  for (const auto& u : kUnits) {
-    if (const Json* v = obj.find(base + u.suffix)) {
-      if (found) fail(who + ": '" + base + "' given in more than one unit", v);
-      found = v;
-      scale = u.to_ps;
-    }
-  }
-  if (!found) return fallback;
-  if (!found->is(Json::Type::kNumber)) {
-    fail(who + ": '" + base + "' must be a number", found);
-  }
-  const double ps = found->number * scale;
-  if (ps < 0 || ps > 9.2e18) fail(who + ": '" + base + "' out of range", found);
-  return static_cast<Picos>(ps);
-}
-
-/// Every key in `obj` must be allowed; anything else is a hard error
-/// with a did-you-mean when the typo is close.
-void check_keys(const Json& obj, const std::vector<std::string>& allowed,
-                const std::string& who) {
-  for (const auto& [k, v] : obj.object) {
-    if (std::find(allowed.begin(), allowed.end(), k) != allowed.end()) {
-      continue;
-    }
-    std::string msg = who + ": unknown key '" + k + "'";
-    const std::string hint = suggest_nearest(k, allowed);
-    if (!hint.empty()) msg += " (did you mean '" + hint + "'?)";
-    fail(msg, &v);
-  }
-}
-
-std::vector<std::string> with_time_units(std::vector<std::string> keys,
-                                         std::initializer_list<const char*>
-                                             bases) {
-  for (const char* base : bases) {
-    for (const char* suffix : {"_ns", "_us", "_ms"}) {
-      keys.push_back(std::string(base) + suffix);
-    }
-  }
-  return keys;
-}
-
-/// A burst_source block's pattern fields. The allowed key set is
-/// per-pattern, so a strobe block with an `alpha` key fails like any
-/// other unknown key.
-burst::PatternConfig parse_burst_pattern(const Json& obj,
-                                         const std::string& who) {
+/// A burst_source block's pattern fields. Each pattern reads only its
+/// own keys, so a strobe block with an `alpha` key fails like any other
+/// unknown key.
+burst::PatternConfig parse_burst_pattern(Reader& r) {
   burst::PatternConfig cfg;
-  const std::string pname =
-      need(obj, "pattern", Json::Type::kString, who).string;
+  const Json& pattern = r.required("pattern", Json::Type::kString);
   const auto& names = burst::known_patterns();
-  if (std::find(names.begin(), names.end(), pname) == names.end()) {
-    std::string msg = who + ": unknown burst pattern '" + pname + "'";
-    const std::string hint = suggest_nearest(pname, names);
-    if (!hint.empty()) msg += " (did you mean '" + hint + "'?)";
-    fail(msg, obj.find("pattern"));
+  if (std::find(names.begin(), names.end(), pattern.string) == names.end()) {
+    r.fail("unknown burst pattern '" + pattern.string + "'" +
+               did_you_mean(pattern.string, names),
+           &pattern);
   }
-  cfg.pattern = burst::pattern_from_name(pname);
+  cfg.pattern = burst::pattern_from_name(pattern.string);
 
-  std::vector<std::string> keys = {"name",       "type",  "pattern", "rate_gbps",
-                                   "frame_size", "flows", "l4"};
+  cfg.rate_gbps = r.number("rate_gbps", cfg.rate_gbps);
+  cfg.frame_size = r.count("frame_size", cfg.frame_size);
+  cfg.flows = r.count("flows", cfg.flows);
+  if (const Json* l4 = r.find("l4", Json::Type::kString)) {
+    if (l4->string == "tcp_syn") {
+      cfg.l4 = burst::L4::kTcpSyn;
+    } else if (l4->string != "udp") {
+      r.fail("unknown l4 '" + l4->string + "'" +
+                 did_you_mean(l4->string, {"udp", "tcp_syn"}),
+             l4);
+    }
+  }
   switch (cfg.pattern) {
     case burst::Pattern::kOnOff:
-      keys = with_time_units(std::move(keys), {"period"});
-      keys.emplace_back("duty");
+      cfg.period = r.time("period", cfg.period);
+      cfg.duty = r.number("duty", cfg.duty);
       break;
     case burst::Pattern::kStrobe:
-      keys = with_time_units(std::move(keys), {"period"});
-      keys.emplace_back("pulse_frames");
+      cfg.period = r.time("period", cfg.period);
+      cfg.pulse_frames = r.count("pulse_frames", cfg.pulse_frames);
       break;
     case burst::Pattern::kHeavyTail:
-      keys = with_time_units(std::move(keys), {"mean_on", "mean_off"});
-      keys.emplace_back("alpha");
+      cfg.alpha = r.number("alpha", cfg.alpha);
+      cfg.mean_on = r.time("mean_on", cfg.mean_on);
+      cfg.mean_off = r.time("mean_off", cfg.mean_off);
       break;
     case burst::Pattern::kAmplification:
-      keys = with_time_units(std::move(keys), {"period"});
-      for (const char* k : {"duty", "attackers", "request_size", "amp_factor"}) {
-        keys.emplace_back(k);
-      }
+      cfg.period = r.time("period", cfg.period);
+      cfg.duty = r.number("duty", cfg.duty);
+      cfg.attackers = r.count("attackers", cfg.attackers);
+      cfg.request_size = r.count("request_size", cfg.request_size);
+      cfg.amp_factor = r.number("amp_factor", cfg.amp_factor);
       break;
   }
-  check_keys(obj, keys, who);
-
-  cfg.rate_gbps = number_or(obj, "rate_gbps", cfg.rate_gbps, who);
-  cfg.frame_size = count_or(obj, "frame_size", cfg.frame_size, who);
-  cfg.flows = count_or(obj, "flows", cfg.flows, who);
-  const std::string l4 = string_or(obj, "l4", "udp", who);
-  if (l4 == "udp") {
-    cfg.l4 = burst::L4::kUdp;
-  } else if (l4 == "tcp_syn") {
-    cfg.l4 = burst::L4::kTcpSyn;
-  } else {
-    const std::vector<std::string> kinds = {"udp", "tcp_syn"};
-    std::string msg = who + ": unknown l4 '" + l4 + "'";
-    const std::string hint = suggest_nearest(l4, kinds);
-    if (!hint.empty()) msg += " (did you mean '" + hint + "'?)";
-    fail(msg, obj.find("l4"));
-  }
-  cfg.period = time_or(obj, "period", cfg.period, who);
-  cfg.duty = number_or(obj, "duty", cfg.duty, who);
-  cfg.pulse_frames = count_or(obj, "pulse_frames", cfg.pulse_frames, who);
-  cfg.alpha = number_or(obj, "alpha", cfg.alpha, who);
-  cfg.mean_on = time_or(obj, "mean_on", cfg.mean_on, who);
-  cfg.mean_off = time_or(obj, "mean_off", cfg.mean_off, who);
-  cfg.attackers = count_or(obj, "attackers", cfg.attackers, who);
-  cfg.request_size = count_or(obj, "request_size", cfg.request_size, who);
-  cfg.amp_factor = number_or(obj, "amp_factor", cfg.amp_factor, who);
   return cfg;
 }
 
+/// A "block" or "block:port" string value.
 Endpoint parse_endpoint(const Json& v, const std::string& who) {
-  if (!v.is(Json::Type::kString)) {
-    fail(who + ": endpoint must be a \"block\" or \"block:port\" string", &v);
-  }
   Endpoint ep;
   const std::string& s = v.string;
   const auto colon = s.find(':');
@@ -247,158 +103,114 @@ Endpoint parse_endpoint(const Json& v, const std::string& who) {
 }
 
 BlockSpec parse_block(const Json& b, std::size_t i) {
-  const std::string who = "blocks[" + std::to_string(i) + "]";
-  if (!b.is(Json::Type::kObject)) fail(who + ": must be an object", &b);
+  const std::string who = "topology: blocks[" + std::to_string(i) + "]";
+  Reader r(b, who);
   BlockSpec spec;
-  spec.name = need(b, "name", Json::Type::kString, who).string;
-  if (spec.name.empty()) fail(who + ": 'name' must not be empty", &b);
-  spec.type = need(b, "type", Json::Type::kString, who).string;
-  const std::string who2 = who + " ('" + spec.name + "')";
+  spec.name = r.required_string("name");
+  if (spec.name.empty()) r.fail("'name' must not be empty");
+  const Json& type = r.required("type", Json::Type::kString);
+  spec.type = type.string;
+  r.set_prefix(who + " ('" + spec.name + "')");
 
   if (spec.type == "fifo_queue") {
-    check_keys(b, {"name", "type", "rate_gbps", "queue_frames"}, who2);
-    spec.fifo.rate_gbps =
-        number_or(b, "rate_gbps", spec.fifo.rate_gbps, who2);
-    spec.fifo.queue_frames =
-        count_or(b, "queue_frames", spec.fifo.queue_frames, who2);
+    spec.fifo.rate_gbps = r.number("rate_gbps", spec.fifo.rate_gbps);
+    spec.fifo.queue_frames = r.count("queue_frames", spec.fifo.queue_frames);
   } else if (spec.type == "red") {
-    check_keys(b,
-               {"name", "type", "rate_gbps", "queue_frames", "min_th",
-                "max_th", "max_p", "weight"},
-               who2);
-    spec.red.rate_gbps = number_or(b, "rate_gbps", spec.red.rate_gbps, who2);
-    spec.red.queue_frames =
-        count_or(b, "queue_frames", spec.red.queue_frames, who2);
-    spec.red.min_th = number_or(b, "min_th", spec.red.min_th, who2);
-    spec.red.max_th = number_or(b, "max_th", spec.red.max_th, who2);
-    spec.red.max_p = number_or(b, "max_p", spec.red.max_p, who2);
-    spec.red.weight = number_or(b, "weight", spec.red.weight, who2);
+    spec.red.rate_gbps = r.number("rate_gbps", spec.red.rate_gbps);
+    spec.red.queue_frames = r.count("queue_frames", spec.red.queue_frames);
+    spec.red.min_th = r.number("min_th", spec.red.min_th);
+    spec.red.max_th = r.number("max_th", spec.red.max_th);
+    spec.red.max_p = r.number("max_p", spec.red.max_p);
+    spec.red.weight = r.number("weight", spec.red.weight);
   } else if (spec.type == "token_bucket") {
-    check_keys(
-        b, {"name", "type", "rate_gbps", "burst_bytes", "shape",
-            "queue_frames"},
-        who2);
-    spec.token_bucket.rate_gbps =
-        number_or(b, "rate_gbps", spec.token_bucket.rate_gbps, who2);
-    spec.token_bucket.burst_bytes =
-        count_or(b, "burst_bytes", spec.token_bucket.burst_bytes, who2);
-    spec.token_bucket.shape =
-        bool_or(b, "shape", spec.token_bucket.shape, who2);
-    spec.token_bucket.queue_frames =
-        count_or(b, "queue_frames", spec.token_bucket.queue_frames, who2);
+    auto& c = spec.token_bucket;
+    c.rate_gbps = r.number("rate_gbps", c.rate_gbps);
+    c.burst_bytes = r.count("burst_bytes", c.burst_bytes);
+    c.shape = r.boolean("shape", c.shape);
+    c.queue_frames = r.count("queue_frames", c.queue_frames);
   } else if (spec.type == "delay_ber") {
-    check_keys(b, with_time_units({"name", "type", "ber"}, {"delay"}), who2);
-    spec.delay_ber.delay = time_or(b, "delay", 0, who2);
-    spec.delay_ber.ber = number_or(b, "ber", 0.0, who2);
+    spec.delay_ber.delay = r.time("delay", 0);
+    spec.delay_ber.ber = r.number("ber", 0.0);
   } else if (spec.type == "ecmp") {
-    check_keys(b, {"name", "type", "fanout", "salt"}, who2);
-    spec.ecmp.fanout = count_or(b, "fanout", spec.ecmp.fanout, who2);
-    spec.ecmp.salt = count_or(b, "salt", 0, who2);
+    spec.ecmp.fanout = r.count("fanout", spec.ecmp.fanout);
+    spec.ecmp.salt = r.count("salt", spec.ecmp.salt);
     spec.num_outputs = spec.ecmp.fanout;
   } else if (spec.type == "sink") {
-    check_keys(b, {"name", "type"}, who2);
     spec.num_outputs = 0;
   } else if (spec.type == "monitor") {
-    check_keys(b, {"name", "type", "rtt_probe"}, who2);
-    spec.monitor.rtt_probe =
-        bool_or(b, "rtt_probe", spec.monitor.rtt_probe, who2);
+    spec.monitor.rtt_probe = r.boolean("rtt_probe", spec.monitor.rtt_probe);
   } else if (spec.type == "burst_source") {
-    spec.burst.pattern = parse_burst_pattern(b, who2);
+    spec.burst.pattern = parse_burst_pattern(r);
     spec.num_inputs = 0;
   } else if (spec.type == "legacy_switch") {
-    check_keys(b,
-               with_time_units({"name", "type", "num_ports", "queue_bytes",
-                                "flood_unknown", "lookup_rate_mpps",
-                                "cut_through"},
-                               {"pipeline_latency"}),
-               who2);
     auto& c = spec.legacy_switch;
-    c.num_ports = count_or(b, "num_ports", c.num_ports, who2);
-    c.queue_bytes = count_or(b, "queue_bytes", c.queue_bytes, who2);
-    c.flood_unknown = bool_or(b, "flood_unknown", c.flood_unknown, who2);
-    c.lookup_rate_mpps =
-        number_or(b, "lookup_rate_mpps", c.lookup_rate_mpps, who2);
-    c.cut_through = bool_or(b, "cut_through", c.cut_through, who2);
-    c.pipeline_latency =
-        time_or(b, "pipeline_latency", c.pipeline_latency, who2);
-    if (c.num_ports == 0) fail(who2 + ": num_ports must be positive", &b);
+    c.num_ports = r.count("num_ports", c.num_ports);
+    c.queue_bytes = r.count("queue_bytes", c.queue_bytes);
+    c.flood_unknown = r.boolean("flood_unknown", c.flood_unknown);
+    c.lookup_rate_mpps = r.number("lookup_rate_mpps", c.lookup_rate_mpps);
+    c.cut_through = r.boolean("cut_through", c.cut_through);
+    c.pipeline_latency = r.time("pipeline_latency", c.pipeline_latency);
+    if (c.num_ports == 0) r.fail("num_ports must be positive");
     spec.num_inputs = spec.num_outputs = c.num_ports;
   } else if (spec.type == "openflow_switch") {
-    check_keys(b, {"name", "type", "num_ports", "table_size"}, who2);
     auto& c = spec.openflow_switch.sw;
-    c.num_ports = count_or(b, "num_ports", c.num_ports, who2);
-    c.table.max_entries =
-        count_or(b, "table_size", c.table.max_entries, who2);
-    if (c.num_ports == 0) fail(who2 + ": num_ports must be positive", &b);
+    c.num_ports = r.count("num_ports", c.num_ports);
+    c.table.max_entries = r.count("table_size", c.table.max_entries);
+    if (c.num_ports == 0) r.fail("num_ports must be positive");
     spec.num_inputs = spec.num_outputs = c.num_ports;
   } else {
-    std::string msg = who + ": unknown block type '" + spec.type + "'";
-    const std::string hint =
-        suggest_nearest(spec.type, TopologyFile::known_types());
-    if (!hint.empty()) msg += " (did you mean '" + hint + "'?)";
-    fail(msg, b.find("type"));
+    r.fail("unknown block type '" + spec.type + "'" +
+               did_you_mean(spec.type, TopologyFile::known_types()),
+           &type);
   }
+  r.finish();
   return spec;
 }
 
 WorkloadSpec parse_workload(const Json& w) {
   const std::string who = "workload";
-  if (!w.is(Json::Type::kObject)) fail("'workload' must be an object", &w);
+  Reader r(w, "topology: " + who);
   WorkloadSpec spec;
-  const std::string kind = need(w, "kind", Json::Type::kString, who).string;
-  if (kind == "none") {
-    check_keys(w, {"kind"}, who);
+  const Json& kind = r.required("kind", Json::Type::kString);
+  if (kind.string == "none") {
+    r.finish();
     return spec;
   }
-  if (kind == "tcp") {
+  if (kind.string == "tcp") {
     spec.kind = WorkloadSpec::Kind::kTcp;
-    check_keys(w,
-               {"kind", "ingress", "egress", "ack_ingress", "ack_egress",
-                "flows", "cc", "mss", "bottleneck_gbps", "queue_segments",
-                "rwnd_kb", "rate_limit_detector"},
-               who);
-    spec.flows = count_or(w, "flows", spec.flows, who);
-    spec.cc = string_or(w, "cc", spec.cc, who);
-    spec.mss = static_cast<std::uint32_t>(
-        count_or(w, "mss", spec.mss, who, 1, tcp::kMaxMss));
-    spec.bottleneck_gbps =
-        number_or(w, "bottleneck_gbps", spec.bottleneck_gbps, who);
-    spec.queue_segments =
-        count_or(w, "queue_segments", spec.queue_segments, who);
-    spec.rwnd_kb = count_or(w, "rwnd_kb", spec.rwnd_kb, who);
+    spec.flows = r.count("flows", spec.flows);
+    spec.cc = r.string("cc", spec.cc);
+    spec.mss = r.count("mss", spec.mss, 1, tcp::kMaxMss);
+    spec.bottleneck_gbps = r.number("bottleneck_gbps", spec.bottleneck_gbps);
+    spec.queue_segments = r.count("queue_segments", spec.queue_segments);
+    spec.rwnd_kb = r.count("rwnd_kb", spec.rwnd_kb);
     spec.rate_limit_detector =
-        bool_or(w, "rate_limit_detector", spec.rate_limit_detector, who);
-    if (spec.flows == 0) fail(who + ": 'flows' must be positive", &w);
-  } else if (kind == "cbr") {
+        r.boolean("rate_limit_detector", spec.rate_limit_detector);
+    if (spec.flows == 0) r.fail("'flows' must be positive");
+    if (const Json* v = r.find("ack_ingress", Json::Type::kString)) {
+      spec.ack_ingress = parse_endpoint(*v, who + ".ack_ingress");
+    }
+    if (const Json* v = r.find("ack_egress", Json::Type::kString)) {
+      spec.ack_egress = parse_endpoint(*v, who + ".ack_egress");
+    }
+    if (spec.ack_ingress.has_value() != spec.ack_egress.has_value()) {
+      r.fail("ack_ingress and ack_egress must be given together");
+    }
+  } else if (kind.string == "cbr") {
     spec.kind = WorkloadSpec::Kind::kCbr;
-    check_keys(
-        w, {"kind", "ingress", "egress", "rate_gbps", "frame_size", "flows"},
-        who);
-    spec.rate_gbps = number_or(w, "rate_gbps", spec.rate_gbps, who);
-    spec.frame_size = count_or(w, "frame_size", spec.frame_size, who);
-    spec.flow_count = static_cast<std::uint32_t>(
-        count_or(w, "flows", spec.flow_count, who, 1,
-                 std::numeric_limits<std::uint32_t>::max()));
+    spec.rate_gbps = r.number("rate_gbps", spec.rate_gbps);
+    spec.frame_size = r.count("frame_size", spec.frame_size);
+    spec.flow_count = r.count("flows", spec.flow_count, 1);
   } else {
-    const std::vector<std::string> kinds = {"none", "tcp", "cbr"};
-    std::string msg = who + ": unknown kind '" + kind + "'";
-    const std::string hint = suggest_nearest(kind, kinds);
-    if (!hint.empty()) msg += " (did you mean '" + hint + "'?)";
-    fail(msg, w.find("kind"));
+    r.fail("unknown kind '" + kind.string + "'" +
+               did_you_mean(kind.string, {"none", "tcp", "cbr"}),
+           &kind);
   }
-  spec.ingress = parse_endpoint(need(w, "ingress", Json::Type::kString, who),
+  spec.ingress = parse_endpoint(r.required("ingress", Json::Type::kString),
                                 who + ".ingress");
-  spec.egress = parse_endpoint(need(w, "egress", Json::Type::kString, who),
+  spec.egress = parse_endpoint(r.required("egress", Json::Type::kString),
                                who + ".egress");
-  if (const Json* v = w.find("ack_ingress")) {
-    spec.ack_ingress = parse_endpoint(*v, who + ".ack_ingress");
-  }
-  if (const Json* v = w.find("ack_egress")) {
-    spec.ack_egress = parse_endpoint(*v, who + ".ack_egress");
-  }
-  if (spec.ack_ingress.has_value() != spec.ack_egress.has_value()) {
-    fail(who + ": ack_ingress and ack_egress must be given together", &w);
-  }
+  r.finish();
   return spec;
 }
 
@@ -415,13 +227,11 @@ void validate(const TopologyFile& t) {
                            const std::string& who) -> const BlockSpec& {
     const auto it = by_name.find(ep.block);
     if (it == by_name.end()) {
-      std::string msg = who + ": unknown block '" + ep.block + "'";
       std::vector<std::string> names;
       names.reserve(t.blocks.size());
       for (const auto& b : t.blocks) names.push_back(b.name);
-      const std::string hint = suggest_nearest(ep.block, names);
-      if (!hint.empty()) msg += " (did you mean '" + hint + "'?)";
-      fail(msg);
+      fail(who + ": unknown block '" + ep.block + "'" +
+           did_you_mean(ep.block, names));
     }
     return *it->second;
   };
@@ -477,54 +287,40 @@ const std::vector<std::string>& TopologyFile::known_types() {
 }
 
 TopologyFile TopologyFile::from_json(const std::string& text) {
-  const Json root = [&text] {
-    try {
-      return json::parse(text, "topology JSON");
-    } catch (const json::ParseError& e) {
-      throw TopologyError(e.what());
-    }
-  }();
-  if (!root.is(Json::Type::kObject)) {
-    fail("top level must be an object", &root);
-  }
-  check_keys(root,
-             with_time_units({"name", "seed", "blocks", "edges", "workload"},
-                             {"duration"}),
-             "topology");
-
   TopologyFile t;
-  t.name = string_or(root, "name", "", "topology");
-  t.seed = static_cast<std::uint64_t>(
-      count_or(root, "seed", static_cast<std::size_t>(t.seed), "topology"));
-  t.duration = time_or(root, "duration", t.duration, "topology");
+  try {
+    const Json root = json::parse(text, "topology JSON");
+    Reader r(root, "topology");
+    t.name = r.string("name", "");
+    t.seed = r.count("seed", t.seed);
+    t.duration = r.time("duration", t.duration);
 
-  const Json& blocks = need(root, "blocks", Json::Type::kArray, "topology");
-  if (blocks.array.empty()) fail("'blocks' must not be empty", &blocks);
-  for (std::size_t i = 0; i < blocks.array.size(); ++i) {
-    t.blocks.push_back(parse_block(blocks.array[i], i));
-  }
-
-  if (const Json* edges = root.find("edges")) {
-    if (!edges->is(Json::Type::kArray)) {
-      fail("'edges' must be an array", edges);
+    const Json& blocks = r.required("blocks", Json::Type::kArray);
+    if (blocks.array.empty()) r.fail("'blocks' must not be empty", &blocks);
+    for (std::size_t i = 0; i < blocks.array.size(); ++i) {
+      t.blocks.push_back(parse_block(blocks.array[i], i));
     }
-    for (std::size_t i = 0; i < edges->array.size(); ++i) {
-      const Json& e = edges->array[i];
-      const std::string who = "edges[" + std::to_string(i) + "]";
-      if (!e.is(Json::Type::kObject)) fail(who + ": must be an object", &e);
-      check_keys(e, with_time_units({"from", "to"}, {"propagation"}), who);
-      EdgeSpec edge;
-      edge.from = parse_endpoint(need(e, "from", Json::Type::kString, who),
-                                 who + ".from");
-      edge.to =
-          parse_endpoint(need(e, "to", Json::Type::kString, who), who + ".to");
-      edge.propagation = time_or(e, "propagation", 0, who);
-      t.edges.push_back(edge);
+
+    if (const Json* edges = r.find("edges", Json::Type::kArray)) {
+      for (std::size_t i = 0; i < edges->array.size(); ++i) {
+        const std::string who = "edges[" + std::to_string(i) + "]";
+        Reader e(edges->array[i], "topology: " + who);
+        EdgeSpec edge;
+        edge.from = parse_endpoint(e.required("from", Json::Type::kString),
+                                   who + ".from");
+        edge.to = parse_endpoint(e.required("to", Json::Type::kString),
+                                 who + ".to");
+        edge.propagation = e.time("propagation", 0);
+        e.finish();
+        t.edges.push_back(edge);
+      }
     }
+
+    if (const Json* w = r.find("workload")) t.workload = parse_workload(*w);
+    r.finish();
+  } catch (const json::ParseError& e) {
+    throw TopologyError(e.what());
   }
-
-  if (const Json* w = root.find("workload")) t.workload = parse_workload(*w);
-
   validate(t);
   return t;
 }
@@ -620,11 +416,8 @@ void validate_fault_targets(const TopologyFile& topo,
                      "token_bucket)"));
       }
     }
-    std::string msg =
-        "fault plan: " + who + " targets unknown block '" + ev.target + "'";
-    const std::string hint = suggest_nearest(ev.target, names);
-    if (!hint.empty()) msg += " (did you mean '" + hint + "'?)";
-    fail(msg);
+    fail("fault plan: " + who + " targets unknown block '" + ev.target + "'" +
+         did_you_mean(ev.target, names));
   }
 }
 
@@ -633,10 +426,7 @@ void validate_workload(const TopologyFile& topo) {
   if (w.kind == WorkloadSpec::Kind::kTcp) {
     static const std::vector<std::string> kCc = {"newreno", "cubic", "bbr"};
     if (std::find(kCc.begin(), kCc.end(), w.cc) == kCc.end()) {
-      std::string msg = "workload: unknown cc '" + w.cc + "'";
-      const std::string hint = suggest_nearest(w.cc, kCc);
-      if (!hint.empty()) msg += " (did you mean '" + hint + "'?)";
-      fail(msg);
+      fail("workload: unknown cc '" + w.cc + "'" + did_you_mean(w.cc, kCc));
     }
     if (w.bottleneck_gbps < 0) {
       fail("workload: 'bottleneck_gbps' must not be negative");

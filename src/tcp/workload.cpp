@@ -13,6 +13,11 @@
 namespace osnt::tcp {
 namespace {
 
+// Senders live on device port 0, receivers on port 1.
+constexpr std::size_t kTxPort = 0;
+constexpr std::size_t kRxPort = 1;
+constexpr Picos kDelayedAckTimeout = 200 * kPicosPerMicro;
+
 std::uint32_t tsval_now(Picos now) {
   return static_cast<std::uint32_t>(now / kPicosPerNano);
 }
@@ -43,9 +48,6 @@ ClosedLoopWorkload::ClosedLoopWorkload(sim::Engine& eng,
         "tcp: flows exceeds the addressing scheme's capacity (" +
         std::to_string(kMaxFlows) + ")");
   }
-  if (cfg_.tx_port == cfg_.rx_port) {
-    throw std::invalid_argument("tcp: tx_port and rx_port must differ");
-  }
   eng_->set_wheel_enabled(cfg_.wheel_timers);
 
   gen::TxConfig txcfg;
@@ -56,14 +58,14 @@ ClosedLoopWorkload::ClosedLoopWorkload(sim::Engine& eng,
   // TCP RTTs come from the timestamps option instead.
   txcfg.embed_timestamp = false;
   txcfg.seed = derive_seed(cfg_.seed, 0xBEEF);
-  gen::TxPipeline& txp = dev_->configure_tx(cfg_.tx_port, txcfg);
+  gen::TxPipeline& txp = dev_->configure_tx(kTxPort, txcfg);
   auto src = std::make_unique<gen::ClosedLoopSource>(cfg_.queue_segments);
   source_ = src.get();
   src->set_kick([&txp] { txp.kick(); });
   txp.set_source(std::move(src));
 
-  dev_->rx(cfg_.tx_port).set_capture_enabled(cfg_.capture);
-  dev_->rx(cfg_.rx_port).set_capture_enabled(cfg_.capture);
+  dev_->rx(kTxPort).set_capture_enabled(false);
+  dev_->rx(kRxPort).set_capture_enabled(false);
 
   flow_handles_.reserve(cfg_.flows);
   recv_hot_.resize(cfg_.flows);
@@ -109,10 +111,10 @@ ClosedLoopWorkload::ClosedLoopWorkload(sim::Engine& eng,
     recv_hot_[i].isn = flows_[h.slot].isn();
   }
 
-  dev_->rx(cfg_.rx_port).set_tap(
+  dev_->rx(kRxPort).set_tap(
       [this](const net::ParsedPacket& p, const net::Packet& pkt,
              Picos first_bit) { on_data_frame(p, pkt, first_bit); });
-  dev_->rx(cfg_.tx_port).set_tap(
+  dev_->rx(kTxPort).set_tap(
       [this](const net::ParsedPacket& p, const net::Packet& pkt,
              Picos first_bit) { on_ack_frame(p, pkt, first_bit); });
 }
@@ -124,8 +126,8 @@ ClosedLoopWorkload::~ClosedLoopWorkload() {
       st.delack_timer = {};
     }
   }
-  dev_->rx(cfg_.rx_port).set_tap(nullptr);
-  dev_->rx(cfg_.tx_port).set_tap(nullptr);
+  dev_->rx(kRxPort).set_tap(nullptr);
+  dev_->rx(kTxPort).set_tap(nullptr);
 
   if (telemetry::enabled() && total_acks_sent() + source_->offered() > 0) {
     auto& reg = telemetry::registry();
@@ -138,7 +140,7 @@ ClosedLoopWorkload::~ClosedLoopWorkload() {
 }
 
 void ClosedLoopWorkload::start() {
-  dev_->tx(cfg_.tx_port).start();
+  dev_->tx(kTxPort).start();
   for (const auto& h : flow_handles_) flows_[h.slot].start();
 }
 
@@ -235,7 +237,7 @@ void ClosedLoopWorkload::send_ack(std::size_t idx, Picos now) {
   net::Packet ack = b.build();
 
   const sim::Engine::CategoryScope cat(*eng_, sim::EventCategory::kTcp);
-  (void)dev_->port(cfg_.rx_port).tx().transmit(std::move(ack));
+  (void)dev_->port(kRxPort).tx().transmit(std::move(ack));
   ++st.acks_sent;
 }
 
@@ -244,7 +246,7 @@ void ClosedLoopWorkload::schedule_delack(std::size_t idx) {
   if (st.delack_timer) return;  // one armed timer per flow, ever
   const sim::Engine::CategoryScope cat(*eng_, sim::EventCategory::kTcp);
   st.delack_timer =
-      eng_->schedule_bulk_in(cfg_.delayed_ack_timeout, [this, idx] {
+      eng_->schedule_bulk_in(kDelayedAckTimeout, [this, idx] {
         ReceiverHot& s = recv_hot_[idx];
         s.delack_timer = {};
         if (s.pending_ack_segs > 0) send_ack(idx, eng_->now());
@@ -348,7 +350,7 @@ ClosedLoopTestbed::ClosedLoopTestbed(const WorkloadConfig& cfg,
                                      telemetry::TraceRecorder* trace)
     : dev_(eng_) {
   if (trace) eng_.set_trace(trace);
-  hw::connect(dev_.port(cfg.tx_port), dev_.port(cfg.rx_port));
+  hw::connect(dev_.port(kTxPort), dev_.port(kRxPort));
   workload_ = std::make_unique<ClosedLoopWorkload>(eng_, dev_, cfg);
   if (plan) {
     injector_.emplace(eng_, *plan);

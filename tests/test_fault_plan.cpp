@@ -252,6 +252,77 @@ TEST(FaultPlan, ErrorsCarryPositionAndSuggestion) {
   EXPECT_NE(typo_key.find("did you mean 'queue_frames'?"), std::string::npos)
       << typo_key;
   EXPECT_NE(typo_key.find("line"), std::string::npos) << typo_key;
+
+  // Keys are strict per kind: `link` belongs to link faults, so on a DMA
+  // stall it is as unknown as a typo.
+  const std::string other_kind = plan_error(R"({"events": [
+    {"type": "dma_stall", "at_us": 1, "duration_us": 2, "link": 0}]})");
+  EXPECT_NE(other_kind.find("event 0 (dma_stall): unknown key 'link'"),
+            std::string::npos)
+      << other_kind;
+}
+
+TEST(FaultPlan, IntegerFieldsAreRangeChecked) {
+  // 2^32 once wrapped to a negative link index, which means "all links".
+  const std::string link = plan_error(R"({"events": [
+    {"type": "link_flap", "at_us": 1, "duration_us": 5, "link": 4294967296}]})");
+  EXPECT_NE(link.find("event 0 (link_flap): 'link' must be in [0, 2147483647]"),
+            std::string::npos)
+      << link;
+  EXPECT_NE(link.find("(line 2 column 65)"), std::string::npos) << link;
+
+  const std::string frames = plan_error(R"({"events": [
+    {"type": "queue_cap", "at_us": 1, "target": "q", "queue_frames": 1e30}]})");
+  EXPECT_NE(frames.find("'queue_frames' must be in [1, "), std::string::npos)
+      << frames;
+
+  const std::string burst = plan_error(R"({"events": [
+    {"type": "rate_limit", "at_us": 1, "target": "p", "rate_gbps": 1,
+     "burst_bytes": 0}]})");
+  EXPECT_NE(burst.find("'burst_bytes' must be in [1, 9223372036854775807]"),
+            std::string::npos)
+      << burst;
+
+  for (const char* seed : {"1e30", "1.5", "-1"}) {
+    const std::string msg = plan_error(std::string(R"({"seed": )") + seed +
+                                       R"(, "events": []})");
+    EXPECT_NE(msg.find("fault plan: 'seed' must be a non-negative integer"),
+              std::string::npos)
+        << msg;
+  }
+
+  // The bounds themselves are accepted.
+  const auto plan = FaultPlan::from_json(R"({"seed": 18446744073709549568,
+    "events": [
+      {"type": "link_flap", "at_us": 1, "link": 2147483647},
+      {"type": "queue_cap", "at_us": 2, "target": "q", "queue_frames": 1},
+      {"type": "rate_limit", "at_us": 3, "target": "p", "rate_gbps": 1,
+       "burst_bytes": 1}]})");
+  EXPECT_EQ(plan.seed, 18446744073709549568u);
+  ASSERT_EQ(plan.events.size(), 3u);
+  EXPECT_EQ(plan.events[0].link, 2147483647);
+  EXPECT_EQ(plan.events[1].queue_frames, 1u);
+  EXPECT_EQ(plan.events[2].burst_bytes, 1);
+}
+
+TEST(FaultPlan, TopLevelErrorsArePositioned) {
+  const std::string typo = plan_error(R"({"seed":1,"evnets":[]})");
+  EXPECT_NE(typo.find("unknown key 'evnets' (did you mean 'events'?)"),
+            std::string::npos)
+      << typo;
+  EXPECT_NE(typo.find("(line 1 column 20)"), std::string::npos) << typo;
+
+  const std::string root = plan_error("\n [1]");
+  EXPECT_NE(root.find("fault plan: expected an object, got array"),
+            std::string::npos)
+      << root;
+  EXPECT_NE(root.find("(line 2 column 2)"), std::string::npos) << root;
+
+  const std::string none = plan_error(R"({"seed": 1})");
+  EXPECT_NE(none.find("fault plan: missing required key 'events'"),
+            std::string::npos)
+      << none;
+  EXPECT_NE(none.find("(line 1 column 1)"), std::string::npos) << none;
 }
 
 TEST(FaultPlan, HostileNestingIsAPositionedError) {

@@ -462,11 +462,11 @@ int cmd_oflops(int argc, const char* const* argv) {
   sw_cfg.table.max_entries = 16384;
   oflops::Testbed tb{sw_cfg};
 
+  fault::FaultPlan fplan;
+  if (!load_fault_plan(faults_path, fplan)) return 1;
   std::unique_ptr<fault::Injector> inj;
   if (!faults_path.empty()) {
     try {
-      fault::FaultPlan fplan = fault::FaultPlan::load(faults_path);
-      std::printf("fault plan: %s\n", fplan.summary().c_str());
       inj = std::make_unique<fault::Injector>(tb.eng, std::move(fplan));
       inj->attach_device(tb.osnt).attach_channel(tb.chan);
       inj->arm();
