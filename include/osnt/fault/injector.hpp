@@ -1,9 +1,16 @@
 // Applies a FaultPlan to a live testbed. The Injector holds non-owning
 // pointers to the models a plan may target — links, the DMA engine, the
-// OpenFlow control channel, the GPS — and arm() schedules every plan
-// event on the trial's engine (category kFault, visible in --trace).
+// OpenFlow control channel, the GPS, graph blocks — and arm() schedules
+// every plan event on the trial's engine (category kFault, visible in
+// --trace).
 // Faults act through the models' existing public seams, so an injected
 // run is just a run: same engine, same determinism, same telemetry.
+//
+// Block-targeted events (rate_limit, queue_cap) resolve against the
+// attached graph's blocks by name in one function, which arm() and
+// check_targets() share: `osnt_run topo --validate-only` builds the graph
+// without running it and asks check_targets(), so the dry run and the run
+// reject a plan with the same words.
 #pragma once
 
 #include <cstddef>
@@ -19,6 +26,7 @@ namespace osnt::core {
 class OsntDevice;
 }
 namespace osnt::graph {
+class Block;
 class Graph;
 class TokenBucketBlock;
 class FifoQueueBlock;
@@ -59,13 +67,8 @@ class Injector {
   /// engine, and the GPS of one OSNT card.
   Injector& attach_device(core::OsntDevice& dev);
 
-  /// Register a named token_bucket / queue block as a target for
-  /// rate_limit / queue_cap events. Names must be unique per injector.
-  Injector& attach_token_bucket(const std::string& name,
-                                graph::TokenBucketBlock& tb);
-  Injector& attach_fifo(const std::string& name, graph::FifoQueueBlock& q);
-  /// Convenience: register every token_bucket / fifo_queue / red block of
-  /// a graph under its block name.
+  /// Register every block of a graph under its block name as a possible
+  /// target of rate_limit / queue_cap events.
   Injector& attach_graph(graph::Graph& g);
 
   /// Schedule the whole plan on the engine. Call once, before running;
@@ -77,6 +80,11 @@ class Injector {
   /// engine's run.
   void arm();
   [[nodiscard]] bool armed() const noexcept { return armed_; }
+
+  /// Resolve every block-targeted event the way arm() does, and throw the
+  /// same PlanError on an unknown or wrongly-typed target, without
+  /// scheduling anything.
+  void check_targets() const;
 
   /// Fault activations that actually fired (counted at their start time).
   [[nodiscard]] std::uint64_t injected(FaultKind k) const noexcept {
@@ -92,18 +100,25 @@ class Injector {
   void arm_event_(const FaultEvent& ev, std::size_t ordinal);
   [[nodiscard]] std::vector<sim::Link*> targets_(int link,
                                                  std::size_t ordinal) const;
-  [[nodiscard]] std::string unknown_target_(const FaultEvent& ev,
-                                            std::size_t ordinal,
-                                            bool buckets_only) const;
+  /// What a rate_limit / queue_cap event acts on: the attached block named
+  /// by its target, as the one kind of block the event can retime.
+  struct BlockTarget {
+    graph::TokenBucketBlock* bucket = nullptr;
+    graph::FifoQueueBlock* queue = nullptr;  ///< fifo_queue or red
+    explicit operator bool() const noexcept { return bucket || queue; }
+  };
+  /// Throws PlanError for a target that is not attached (did-you-mean over
+  /// the eligible blocks) or is the wrong kind of block.
+  [[nodiscard]] BlockTarget resolve_(const FaultEvent& ev,
+                                     std::size_t ordinal) const;
   void mark_(FaultKind kind, Picos at, Picos duration);
 
   sim::Engine* eng_;
   FaultPlan plan_;
   std::vector<sim::Link*> links_;
-  // Ordered maps: arm-time error messages and any per-target iteration
-  // must not depend on hash order (determinism contract, DESIGN.md §10).
-  std::map<std::string, graph::TokenBucketBlock*> buckets_;
-  std::map<std::string, graph::FifoQueueBlock*> queues_;
+  // Ordered: arm-time error messages must not depend on hash order
+  // (determinism contract, DESIGN.md §10).
+  std::map<std::string, graph::Block*> blocks_;
   hw::DmaEngine* dma_ = nullptr;
   openflow::ControlChannel* chan_ = nullptr;
   tstamp::GpsModel* gps_ = nullptr;

@@ -8,7 +8,10 @@
 // type is a hard error with the line/column it occurred at, plus a
 // did-you-mean suggestion for plausible typos. Wiring errors — dangling
 // edges, port-count mismatches, an output claimed twice, duplicate block
-// names — fail at load() time, before any engine exists.
+// names — and workload errors (validate_workload) fail at load() time,
+// before any engine exists. Each block type is one row of a table in
+// topology.cpp holding its name, the keys it reads, its port counts and
+// how it is built; a new block type is one new row.
 //
 // Determinism: per-block random streams (RED's drop lottery, delay_ber's
 // corruption) are derived from the trial seed and the block's ordinal,
@@ -19,6 +22,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "osnt/burst/source.hpp"
@@ -46,23 +50,23 @@ struct Endpoint {
   std::size_t port = 0;
 };
 
-/// One block declaration. `type` selects which of the config members is
-/// meaningful; the loader fills port counts for validation.
+/// One block declaration. `type` names its row in the loader's
+/// block-type table, which reads the type's keys into `config`, fills
+/// the port counts validation checks, and builds the block. Parsed
+/// fields read as std::get<FifoQueueConfig>(spec.config).queue_frames.
 struct BlockSpec {
+  /// One alternative per block type; `sink` has no settings.
+  using Config =
+      std::variant<std::monostate, FifoQueueConfig, RedConfig,
+                   TokenBucketConfig, DelayBerConfig, EcmpConfig,
+                   MonitorConfig, dut::LegacySwitchConfig,
+                   OpenFlowSwitchBlockConfig, burst::BurstSourceConfig>;
+
   std::string name;
   std::string type;
   std::size_t num_inputs = 1;
   std::size_t num_outputs = 1;
-
-  FifoQueueConfig fifo{};
-  RedConfig red{};
-  TokenBucketConfig token_bucket{};
-  DelayBerConfig delay_ber{};
-  EcmpConfig ecmp{};
-  MonitorConfig monitor{};
-  dut::LegacySwitchConfig legacy_switch{};
-  OpenFlowSwitchBlockConfig openflow_switch{};
-  burst::BurstSourceConfig burst{};
+  Config config;
 };
 
 struct EdgeSpec {
@@ -109,11 +113,14 @@ struct TopologyFile {
   std::vector<EdgeSpec> edges;
   WorkloadSpec workload;
 
-  /// Parse + validate. Throws TopologyError with file positions.
+  /// Parse + validate (structure, then validate_workload), so every
+  /// load path rejects the same files. Throws TopologyError, with file
+  /// positions where the error has one.
   [[nodiscard]] static TopologyFile from_json(const std::string& text);
   [[nodiscard]] static TopologyFile load(const std::string& path);
 
-  /// The block type names the loader accepts (for did-you-mean and docs).
+  /// The block type names the loader accepts, in table order (for
+  /// did-you-mean, --help and docs).
   [[nodiscard]] static const std::vector<std::string>& known_types();
 
   /// Instantiate every block and edge into `g`. Per-block random streams
@@ -147,20 +154,10 @@ struct TopologyTrialReport {
   telemetry::SeriesData series{};
 };
 
-/// Resolve a fault plan's block-targeted events (rate_limit / queue_cap)
-/// against the topology's block declarations without building anything:
-/// rate_limit must name a token_bucket; queue_cap a fifo_queue, red, or
-/// token_bucket. Throws TopologyError with a did-you-mean suggestion on
-/// an unknown or wrongly-typed target. Backs `osnt_run topo
-/// --validate-only`, so a bad chaos plan fails in CI, not mid-campaign.
-void validate_fault_targets(const TopologyFile& topo,
-                            const fault::FaultPlan& plan);
-
 /// Semantic workload validation beyond parse-time shape checks: tcp cc
 /// names (with did-you-mean), cbr rate/frame-size ranges, and every
-/// burst_source block's pattern config. Throws TopologyError. Backs
-/// `osnt_run topo --validate-only`, so a stanza that would only explode
-/// at build time fails the dry run instead.
+/// burst_source block's pattern config. Throws TopologyError. from_json
+/// already runs it; it stays callable on a TopologyFile built by hand.
 void validate_workload(const TopologyFile& topo);
 
 /// One deterministic trial: fresh engine + device + graph built from

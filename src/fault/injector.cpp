@@ -81,26 +81,9 @@ Injector& Injector::attach_device(core::OsntDevice& dev) {
   return *this;
 }
 
-Injector& Injector::attach_token_bucket(const std::string& name,
-                                        graph::TokenBucketBlock& tb) {
-  buckets_[name] = &tb;
-  return *this;
-}
-
-Injector& Injector::attach_fifo(const std::string& name,
-                                graph::FifoQueueBlock& q) {
-  queues_[name] = &q;
-  return *this;
-}
-
 Injector& Injector::attach_graph(graph::Graph& g) {
   for (std::size_t i = 0; i < g.num_blocks(); ++i) {
-    graph::Block& b = g.block(i);
-    if (auto* tb = dynamic_cast<graph::TokenBucketBlock*>(&b)) {
-      attach_token_bucket(b.name(), *tb);
-    } else if (auto* q = dynamic_cast<graph::FifoQueueBlock*>(&b)) {
-      attach_fifo(b.name(), *q);
-    }
+    blocks_[g.block(i).name()] = &g.block(i);
   }
   return *this;
 }
@@ -143,6 +126,15 @@ void Injector::arm() {
   const sim::Engine::CategoryScope cat(*eng_, sim::EventCategory::kFault);
   for (std::size_t i = 0; i < plan_.events.size(); ++i) {
     arm_event_(plan_.events[i], i);
+  }
+}
+
+void Injector::check_targets() const {
+  for (std::size_t i = 0; i < plan_.events.size(); ++i) {
+    const FaultEvent& ev = plan_.events[i];
+    if (ev.kind == FaultKind::kRateLimit || ev.kind == FaultKind::kQueueCap) {
+      (void)resolve_(ev, i);
+    }
   }
 }
 
@@ -239,11 +231,7 @@ void Injector::arm_event_(const FaultEvent& ev, std::size_t ordinal) {
     }
 
     case FaultKind::kRateLimit: {
-      auto it = buckets_.find(ev.target);
-      if (it == buckets_.end()) {
-        throw PlanError(unknown_target_(ev, ordinal, /*buckets_only=*/true));
-      }
-      graph::TokenBucketBlock* tb = it->second;
+      graph::TokenBucketBlock* tb = resolve_(ev, ordinal).bucket;
       // Snapshot the pre-fault contract at arm time (before the run, so
       // these are the configured values) — the event restores them.
       const double orig_rate = tb->rate_gbps();
@@ -285,57 +273,59 @@ void Injector::arm_event_(const FaultEvent& ev, std::size_t ordinal) {
     case FaultKind::kQueueCap: {
       // A cap can land on a serializing queue (fifo_queue / red) or on a
       // shaper's backlog (token_bucket) — whichever owns the name.
-      if (auto it = queues_.find(ev.target); it != queues_.end()) {
-        graph::FifoQueueBlock* q = it->second;
-        const std::size_t orig = q->queue_frames();
-        eng_->schedule_at(ev.at, [this, q, ev] {
+      const auto cap = [&](auto* blk) {
+        const std::size_t orig = blk->queue_frames();
+        eng_->schedule_at(ev.at, [this, blk, ev] {
           mark_(FaultKind::kQueueCap, ev.at, ev.duration);
-          q->set_queue_frames(ev.queue_frames);
+          blk->set_queue_frames(ev.queue_frames);
         });
         eng_->schedule_at(ev.at + ev.duration,
-                          [q, orig] { q->set_queue_frames(orig); });
-        return;
-      }
-      if (auto it = buckets_.find(ev.target); it != buckets_.end()) {
-        graph::TokenBucketBlock* tb = it->second;
-        const std::size_t orig = tb->queue_frames();
-        eng_->schedule_at(ev.at, [this, tb, ev] {
-          mark_(FaultKind::kQueueCap, ev.at, ev.duration);
-          tb->set_queue_frames(ev.queue_frames);
-        });
-        eng_->schedule_at(ev.at + ev.duration,
-                          [tb, orig] { tb->set_queue_frames(orig); });
-        return;
-      }
-      throw PlanError(unknown_target_(ev, ordinal, /*buckets_only=*/false));
+                          [blk, orig] { blk->set_queue_frames(orig); });
+      };
+      const BlockTarget t = resolve_(ev, ordinal);
+      if (t.queue) return cap(t.queue);
+      return cap(t.bucket);
     }
   }
 }
 
-std::string Injector::unknown_target_(const FaultEvent& ev,
-                                      std::size_t ordinal,
-                                      bool buckets_only) const {
-  std::vector<std::string> names;
-  for (const auto& [name, tb] : buckets_) names.push_back(name);
-  if (!buckets_only) {
-    for (const auto& [name, q] : queues_) names.push_back(name);
-  }
+Injector::BlockTarget Injector::resolve_(const FaultEvent& ev,
+                                         std::size_t ordinal) const {
+  const bool rate = ev.kind == FaultKind::kRateLimit;
+  const auto target_of = [rate](graph::Block* b) {
+    BlockTarget t;
+    if (!rate) t.queue = dynamic_cast<graph::FifoQueueBlock*>(b);
+    if (!t.queue) t.bucket = dynamic_cast<graph::TokenBucketBlock*>(b);
+    return t;
+  };
   std::string msg = std::string("fault plan: ") + fault_kind_name(ev.kind) +
-                    " event " + std::to_string(ordinal) +
-                    " targets unknown block '" + ev.target + "'" +
-                    did_you_mean(ev.target, names);
-  if (names.empty()) {
-    msg += " — no ";
-    msg += buckets_only ? "token_bucket" : "queue";
-    msg += " blocks attached";
+                    " event " + std::to_string(ordinal) + " targets ";
+  if (const auto it = blocks_.find(ev.target); it != blocks_.end()) {
+    if (const BlockTarget t = target_of(it->second)) return t;
+    // The right name on the wrong kind of block is the likelier
+    // authoring mistake, and deserves a plain answer.
+    throw PlanError(msg + "block '" + ev.target + "', which " +
+                    (rate ? "is not a token_bucket"
+                          : "has no queue to cap (need fifo_queue, red, or "
+                            "token_bucket)"));
+  }
+  std::vector<std::string> eligible;
+  for (const auto& [name, b] : blocks_) {
+    if (target_of(b)) eligible.push_back(name);
+  }
+  msg += "unknown block '" + ev.target + "'" +
+         did_you_mean(ev.target, eligible);
+  if (eligible.empty()) {
+    msg += rate ? " — no token_bucket blocks attached"
+                : " — no queue blocks attached";
   } else {
     msg += " — attached: ";
-    for (std::size_t i = 0; i < names.size(); ++i) {
+    for (std::size_t i = 0; i < eligible.size(); ++i) {
       if (i) msg += ", ";
-      msg += names[i];
+      msg += eligible[i];
     }
   }
-  return msg;
+  throw PlanError(msg);
 }
 
 }  // namespace osnt::fault

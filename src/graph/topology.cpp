@@ -102,6 +102,154 @@ Endpoint parse_endpoint(const Json& v, const std::string& who) {
   return ep;
 }
 
+/// Where build() puts a block: the graph, plus the two per-block inputs
+/// a row may use — the block's own random stream and the run horizon.
+struct BuildSite {
+  sim::Engine& eng;
+  Graph& g;
+  std::uint64_t seed;
+  Picos horizon;
+};
+
+/// Everything the loader knows about one block type. `parse` reads the
+/// type's keys into spec.config (the keys read are the keys allowed) and
+/// sets any port count that is not 1; `build` emplaces the block,
+/// applying the type's seed rule. A new block type is one new row.
+struct BlockType {
+  const char* name;
+  void (*parse)(Reader& r, BlockSpec& spec);
+  void (*build)(const BlockSpec& b, const BuildSite& at);
+};
+
+constexpr BlockType kBlockTypes[] = {
+    {"fifo_queue",
+     [](Reader& r, BlockSpec& s) {
+       auto& c = s.config.emplace<FifoQueueConfig>();
+       c.rate_gbps = r.number("rate_gbps", c.rate_gbps);
+       c.queue_frames = r.count("queue_frames", c.queue_frames);
+     },
+     [](const BlockSpec& b, const BuildSite& at) {
+       at.g.emplace<FifoQueueBlock>(at.eng, b.name,
+                                    std::get<FifoQueueConfig>(b.config));
+     }},
+    {"red",
+     [](Reader& r, BlockSpec& s) {
+       auto& c = s.config.emplace<RedConfig>();
+       c.rate_gbps = r.number("rate_gbps", c.rate_gbps);
+       c.queue_frames = r.count("queue_frames", c.queue_frames);
+       c.min_th = r.number("min_th", c.min_th);
+       c.max_th = r.number("max_th", c.max_th);
+       c.max_p = r.number("max_p", c.max_p);
+       c.weight = r.number("weight", c.weight);
+     },
+     [](const BlockSpec& b, const BuildSite& at) {
+       auto c = std::get<RedConfig>(b.config);
+       c.seed = at.seed;
+       at.g.emplace<RedBlock>(at.eng, b.name, c);
+     }},
+    {"token_bucket",
+     [](Reader& r, BlockSpec& s) {
+       auto& c = s.config.emplace<TokenBucketConfig>();
+       c.rate_gbps = r.number("rate_gbps", c.rate_gbps);
+       c.burst_bytes = r.count("burst_bytes", c.burst_bytes);
+       c.shape = r.boolean("shape", c.shape);
+       c.queue_frames = r.count("queue_frames", c.queue_frames);
+     },
+     [](const BlockSpec& b, const BuildSite& at) {
+       at.g.emplace<TokenBucketBlock>(at.eng, b.name,
+                                      std::get<TokenBucketConfig>(b.config));
+     }},
+    {"delay_ber",
+     [](Reader& r, BlockSpec& s) {
+       auto& c = s.config.emplace<DelayBerConfig>();
+       c.delay = r.time("delay", c.delay);
+       c.ber = r.number("ber", c.ber);
+     },
+     [](const BlockSpec& b, const BuildSite& at) {
+       auto c = std::get<DelayBerConfig>(b.config);
+       c.seed = at.seed;
+       at.g.emplace<DelayBerBlock>(at.eng, b.name, c);
+     }},
+    {"ecmp",
+     [](Reader& r, BlockSpec& s) {
+       auto& c = s.config.emplace<EcmpConfig>();
+       c.fanout = r.count("fanout", c.fanout);
+       c.salt = r.count("salt", c.salt);
+       s.num_outputs = c.fanout;
+     },
+     [](const BlockSpec& b, const BuildSite& at) {
+       at.g.emplace<EcmpBlock>(at.eng, b.name, std::get<EcmpConfig>(b.config));
+     }},
+    {"sink", [](Reader&, BlockSpec& s) { s.num_outputs = 0; },
+     [](const BlockSpec& b, const BuildSite& at) {
+       at.g.emplace<SinkBlock>(at.eng, b.name);
+     }},
+    {"monitor",
+     [](Reader& r, BlockSpec& s) {
+       auto& c = s.config.emplace<MonitorConfig>();
+       c.rtt_probe = r.boolean("rtt_probe", c.rtt_probe);
+     },
+     [](const BlockSpec& b, const BuildSite& at) {
+       at.g.emplace<MonitorBlock>(at.eng, b.name,
+                                  std::get<MonitorConfig>(b.config));
+     }},
+    {"legacy_switch",
+     [](Reader& r, BlockSpec& s) {
+       auto& c = s.config.emplace<dut::LegacySwitchConfig>();
+       c.num_ports = r.count("num_ports", c.num_ports);
+       c.queue_bytes = r.count("queue_bytes", c.queue_bytes);
+       c.flood_unknown = r.boolean("flood_unknown", c.flood_unknown);
+       c.lookup_rate_mpps = r.number("lookup_rate_mpps", c.lookup_rate_mpps);
+       c.cut_through = r.boolean("cut_through", c.cut_through);
+       c.pipeline_latency = r.time("pipeline_latency", c.pipeline_latency);
+       if (c.num_ports == 0) r.fail("num_ports must be positive");
+       s.num_inputs = s.num_outputs = c.num_ports;
+     },
+     [](const BlockSpec& b, const BuildSite& at) {
+       auto c = std::get<dut::LegacySwitchConfig>(b.config);
+       c.seed = at.seed;
+       at.g.emplace<LegacySwitchBlock>(at.eng, b.name, c);
+     }},
+    {"openflow_switch",
+     [](Reader& r, BlockSpec& s) {
+       auto& c = s.config.emplace<OpenFlowSwitchBlockConfig>().sw;
+       c.num_ports = r.count("num_ports", c.num_ports);
+       c.table.max_entries = r.count("table_size", c.table.max_entries);
+       if (c.num_ports == 0) r.fail("num_ports must be positive");
+       s.num_inputs = s.num_outputs = c.num_ports;
+     },
+     [](const BlockSpec& b, const BuildSite& at) {
+       auto c = std::get<OpenFlowSwitchBlockConfig>(b.config);
+       c.sw.seed = at.seed;
+       at.g.emplace<OpenFlowSwitchBlock>(at.eng, b.name, c);
+     }},
+    {"burst_source",
+     [](Reader& r, BlockSpec& s) {
+       s.config.emplace<burst::BurstSourceConfig>().pattern =
+           parse_burst_pattern(r);
+       s.num_inputs = 0;
+     },
+     [](const BlockSpec& b, const BuildSite& at) {
+       auto c = std::get<burst::BurstSourceConfig>(b.config);
+       c.pattern.seed = at.seed;
+       if (c.horizon <= 0) c.horizon = at.horizon;
+       at.g.emplace<burst::BurstSourceBlock>(at.eng, b.name, c);
+     }},
+};
+
+/// The row for `type`. An unknown name fails with a did-you-mean over the
+/// table, positioned through `r` when the name came from a file.
+const BlockType& block_type(const std::string& type, const Reader* r = nullptr,
+                            const Json* at = nullptr) {
+  for (const BlockType& t : kBlockTypes) {
+    if (type == t.name) return t;
+  }
+  const std::string why = "unknown block type '" + type + "'" +
+                          did_you_mean(type, TopologyFile::known_types());
+  if (r) r->fail(why, at);
+  fail(why);
+}
+
 BlockSpec parse_block(const Json& b, std::size_t i) {
   const std::string who = "topology: blocks[" + std::to_string(i) + "]";
   Reader r(b, who);
@@ -111,58 +259,7 @@ BlockSpec parse_block(const Json& b, std::size_t i) {
   const Json& type = r.required("type", Json::Type::kString);
   spec.type = type.string;
   r.set_prefix(who + " ('" + spec.name + "')");
-
-  if (spec.type == "fifo_queue") {
-    spec.fifo.rate_gbps = r.number("rate_gbps", spec.fifo.rate_gbps);
-    spec.fifo.queue_frames = r.count("queue_frames", spec.fifo.queue_frames);
-  } else if (spec.type == "red") {
-    spec.red.rate_gbps = r.number("rate_gbps", spec.red.rate_gbps);
-    spec.red.queue_frames = r.count("queue_frames", spec.red.queue_frames);
-    spec.red.min_th = r.number("min_th", spec.red.min_th);
-    spec.red.max_th = r.number("max_th", spec.red.max_th);
-    spec.red.max_p = r.number("max_p", spec.red.max_p);
-    spec.red.weight = r.number("weight", spec.red.weight);
-  } else if (spec.type == "token_bucket") {
-    auto& c = spec.token_bucket;
-    c.rate_gbps = r.number("rate_gbps", c.rate_gbps);
-    c.burst_bytes = r.count("burst_bytes", c.burst_bytes);
-    c.shape = r.boolean("shape", c.shape);
-    c.queue_frames = r.count("queue_frames", c.queue_frames);
-  } else if (spec.type == "delay_ber") {
-    spec.delay_ber.delay = r.time("delay", 0);
-    spec.delay_ber.ber = r.number("ber", 0.0);
-  } else if (spec.type == "ecmp") {
-    spec.ecmp.fanout = r.count("fanout", spec.ecmp.fanout);
-    spec.ecmp.salt = r.count("salt", spec.ecmp.salt);
-    spec.num_outputs = spec.ecmp.fanout;
-  } else if (spec.type == "sink") {
-    spec.num_outputs = 0;
-  } else if (spec.type == "monitor") {
-    spec.monitor.rtt_probe = r.boolean("rtt_probe", spec.monitor.rtt_probe);
-  } else if (spec.type == "burst_source") {
-    spec.burst.pattern = parse_burst_pattern(r);
-    spec.num_inputs = 0;
-  } else if (spec.type == "legacy_switch") {
-    auto& c = spec.legacy_switch;
-    c.num_ports = r.count("num_ports", c.num_ports);
-    c.queue_bytes = r.count("queue_bytes", c.queue_bytes);
-    c.flood_unknown = r.boolean("flood_unknown", c.flood_unknown);
-    c.lookup_rate_mpps = r.number("lookup_rate_mpps", c.lookup_rate_mpps);
-    c.cut_through = r.boolean("cut_through", c.cut_through);
-    c.pipeline_latency = r.time("pipeline_latency", c.pipeline_latency);
-    if (c.num_ports == 0) r.fail("num_ports must be positive");
-    spec.num_inputs = spec.num_outputs = c.num_ports;
-  } else if (spec.type == "openflow_switch") {
-    auto& c = spec.openflow_switch.sw;
-    c.num_ports = r.count("num_ports", c.num_ports);
-    c.table.max_entries = r.count("table_size", c.table.max_entries);
-    if (c.num_ports == 0) r.fail("num_ports must be positive");
-    spec.num_inputs = spec.num_outputs = c.num_ports;
-  } else {
-    r.fail("unknown block type '" + spec.type + "'" +
-               did_you_mean(spec.type, TopologyFile::known_types()),
-           &type);
-  }
+  block_type(spec.type, &r, &type).parse(r, spec);
   r.finish();
   return spec;
 }
@@ -235,26 +332,21 @@ void validate(const TopologyFile& t) {
     }
     return *it->second;
   };
-  const auto check_out = [&](const Endpoint& ep, const std::string& who) {
+  const auto check_port = [&](const Endpoint& ep, const std::string& who,
+                              bool input) {
     const BlockSpec& b = resolve(ep, who);
-    if (ep.port >= b.num_outputs) {
-      fail(who + ": block '" + b.name + "' has no output port " +
-           std::to_string(ep.port) + " (outputs: " +
-           std::to_string(b.num_outputs) + ")");
-    }
-  };
-  const auto check_in = [&](const Endpoint& ep, const std::string& who) {
-    const BlockSpec& b = resolve(ep, who);
-    if (ep.port >= b.num_inputs) {
-      fail(who + ": block '" + b.name + "' has no input port " +
-           std::to_string(ep.port) + " (inputs: " +
-           std::to_string(b.num_inputs) + ")");
+    const std::size_t ports = input ? b.num_inputs : b.num_outputs;
+    const std::string side = input ? "input" : "output";
+    if (ep.port >= ports) {
+      fail(who + ": block '" + b.name + "' has no " + side + " port " +
+           std::to_string(ep.port) + " (" + side + "s: " +
+           std::to_string(ports) + ")");
     }
   };
 
   std::unordered_set<std::string> claimed;
   const auto claim = [&](const Endpoint& ep, const std::string& who) {
-    check_out(ep, who);
+    check_port(ep, who, /*input=*/false);
     const std::string key = ep.block + ":" + std::to_string(ep.port);
     if (!claimed.insert(key).second) {
       fail(who + ": output '" + key + "' is already wired");
@@ -264,13 +356,14 @@ void validate(const TopologyFile& t) {
   for (std::size_t i = 0; i < t.edges.size(); ++i) {
     const std::string who = "edges[" + std::to_string(i) + "]";
     claim(t.edges[i].from, who);
-    check_in(t.edges[i].to, who);
+    check_port(t.edges[i].to, who, /*input=*/true);
   }
   if (t.workload.kind != WorkloadSpec::Kind::kNone) {
-    check_in(t.workload.ingress, "workload.ingress");
+    check_port(t.workload.ingress, "workload.ingress", /*input=*/true);
     claim(t.workload.egress, "workload.egress");
     if (t.workload.ack_ingress) {
-      check_in(*t.workload.ack_ingress, "workload.ack_ingress");
+      check_port(*t.workload.ack_ingress, "workload.ack_ingress",
+                 /*input=*/true);
       claim(*t.workload.ack_egress, "workload.ack_egress");
     }
   }
@@ -279,10 +372,11 @@ void validate(const TopologyFile& t) {
 }  // namespace
 
 const std::vector<std::string>& TopologyFile::known_types() {
-  static const std::vector<std::string> kTypes = {
-      "fifo_queue",    "red",  "token_bucket", "delay_ber", "ecmp",
-      "sink",          "monitor", "legacy_switch", "openflow_switch",
-      "burst_source"};
+  static const std::vector<std::string> kTypes = [] {
+    std::vector<std::string> names;
+    for (const BlockType& t : kBlockTypes) names.emplace_back(t.name);
+    return names;
+  }();
   return kTypes;
 }
 
@@ -322,6 +416,7 @@ TopologyFile TopologyFile::from_json(const std::string& text) {
     throw TopologyError(e.what());
   }
   validate(t);
+  validate_workload(t);
   return t;
 }
 
@@ -337,87 +432,14 @@ void TopologyFile::build(sim::Engine& eng, Graph& g, std::uint64_t trial_seed,
                          Picos horizon) const {
   if (horizon <= 0) horizon = duration;
   for (std::size_t i = 0; i < blocks.size(); ++i) {
-    const BlockSpec& b = blocks[i];
     // Stream tag 0x109 ("toPO"-ish) + ordinal: decorrelated from the
     // workload's flow substreams, stable across runs of the same file.
-    const std::uint64_t block_seed = derive_seed(trial_seed, 0x1090 + i);
-    if (b.type == "fifo_queue") {
-      g.emplace<FifoQueueBlock>(eng, b.name, b.fifo);
-    } else if (b.type == "red") {
-      RedConfig cfg = b.red;
-      cfg.seed = block_seed;
-      g.emplace<RedBlock>(eng, b.name, cfg);
-    } else if (b.type == "token_bucket") {
-      g.emplace<TokenBucketBlock>(eng, b.name, b.token_bucket);
-    } else if (b.type == "delay_ber") {
-      DelayBerConfig cfg = b.delay_ber;
-      cfg.seed = block_seed;
-      g.emplace<DelayBerBlock>(eng, b.name, cfg);
-    } else if (b.type == "ecmp") {
-      g.emplace<EcmpBlock>(eng, b.name, b.ecmp);
-    } else if (b.type == "sink") {
-      g.emplace<SinkBlock>(eng, b.name);
-    } else if (b.type == "monitor") {
-      g.emplace<MonitorBlock>(eng, b.name, b.monitor);
-    } else if (b.type == "legacy_switch") {
-      dut::LegacySwitchConfig cfg = b.legacy_switch;
-      cfg.seed = block_seed;
-      g.emplace<LegacySwitchBlock>(eng, b.name, cfg);
-    } else if (b.type == "openflow_switch") {
-      OpenFlowSwitchBlockConfig cfg = b.openflow_switch;
-      cfg.sw.seed = block_seed;
-      g.emplace<OpenFlowSwitchBlock>(eng, b.name, cfg);
-    } else if (b.type == "burst_source") {
-      burst::BurstSourceConfig cfg = b.burst;
-      cfg.pattern.seed = block_seed;
-      if (cfg.horizon <= 0) cfg.horizon = horizon;
-      g.emplace<burst::BurstSourceBlock>(eng, b.name, cfg);
-    } else {
-      fail("unknown block type '" + b.type + "'");  // unreachable post-parse
-    }
+    const BuildSite at{eng, g, derive_seed(trial_seed, 0x1090 + i), horizon};
+    block_type(blocks[i].type).build(blocks[i], at);
   }
   for (const auto& e : edges) {
     g.connect(e.from.block, e.from.port, e.to.block, e.to.port,
               e.propagation);
-  }
-}
-
-void validate_fault_targets(const TopologyFile& topo,
-                            const fault::FaultPlan& plan) {
-  for (std::size_t i = 0; i < plan.events.size(); ++i) {
-    const fault::FaultEvent& ev = plan.events[i];
-    if (ev.kind != fault::FaultKind::kRateLimit &&
-        ev.kind != fault::FaultKind::kQueueCap) {
-      continue;
-    }
-    const bool rate = ev.kind == fault::FaultKind::kRateLimit;
-    const auto eligible = [rate](const BlockSpec& b) {
-      if (b.type == "token_bucket") return true;
-      return !rate && (b.type == "fifo_queue" || b.type == "red");
-    };
-    const BlockSpec* found = nullptr;
-    std::vector<std::string> names;
-    for (const auto& b : topo.blocks) {
-      if (!eligible(b)) continue;
-      names.push_back(b.name);
-      if (b.name == ev.target) found = &b;
-    }
-    if (found) continue;
-    const std::string who =
-        std::string(fault_kind_name(ev.kind)) + " event " + std::to_string(i);
-    // Distinguish "no such block" from "block of the wrong type" — the
-    // second is the likelier authoring mistake and deserves a plain answer.
-    for (const auto& b : topo.blocks) {
-      if (b.name == ev.target) {
-        fail("fault plan: " + who + " targets block '" + ev.target +
-             "' of type '" + b.type + "', which " +
-             (rate ? "is not a token_bucket"
-                   : "has no queue to cap (need fifo_queue, red, or "
-                     "token_bucket)"));
-      }
-    }
-    fail("fault plan: " + who + " targets unknown block '" + ev.target + "'" +
-         did_you_mean(ev.target, names));
   }
 }
 
@@ -439,9 +461,10 @@ void validate_workload(const TopologyFile& topo) {
     }
   }
   for (const auto& b : topo.blocks) {
-    if (b.type != "burst_source") continue;
+    const auto* src = std::get_if<burst::BurstSourceConfig>(&b.config);
+    if (!src) continue;
     try {
-      b.burst.pattern.validate();
+      src->pattern.validate();
     } catch (const burst::BurstError& e) {
       fail("block '" + b.name + "': " + std::string(e.what()));
     }

@@ -453,36 +453,53 @@ TEST(RateLimitFault, QueueCapRetimesFifoAndBucketBacklogs) {
   EXPECT_EQ(q.queue_frames(), orig);
 }
 
+/// What `osnt_run topo --validate-only` reports for a plan: the topology
+/// built on an engine that never runs, its targets resolved by the
+/// Injector. Empty when every target resolves.
+std::string dry_run_error(const TopologyFile& topo,
+                          const fault::FaultPlan& plan) {
+  sim::Engine eng;
+  graph::Graph g(eng);
+  topo.build(eng, g, topo.seed);
+  fault::Injector inj(eng, plan);
+  inj.attach_graph(g);
+  try {
+    inj.check_targets();
+  } catch (const fault::PlanError& e) {
+    return e.what();
+  }
+  return {};
+}
+
 TEST(RateLimitFault, ValidateFaultTargetsChecksNamesAndTypes) {
   const TopologyFile topo = TopologyFile::from_json(kCarrierPolicer);
 
-  // A well-aimed plan passes without building anything.
+  // A well-aimed plan passes without running anything.
   fault::FaultPlan good;
   good.rate_limit(kPicosPerMilli, kPicosPerMilli, "policer", 1.0);
   good.queue_cap(kPicosPerMilli, kPicosPerMilli, "egress_q", 16);
-  EXPECT_NO_THROW(graph::validate_fault_targets(topo, good));
+  EXPECT_EQ(dry_run_error(topo, good), "");
 
   // Unknown name: did-you-mean against the eligible blocks.
   fault::FaultPlan typo;
   typo.rate_limit(kPicosPerMilli, kPicosPerMilli, "policr", 1.0);
+  const std::string dry = dry_run_error(topo, typo);
+  expect_contains(dry, "unknown block 'policr'");
+  expect_contains(dry, "did you mean 'policer'?");
+
+  // The dry run and the run reject the plan with the same words.
   try {
-    graph::validate_fault_targets(topo, typo);
-    FAIL() << "typoed target validated";
-  } catch (const graph::TopologyError& e) {
-    expect_contains(e.what(), "unknown block 'policr'");
-    expect_contains(e.what(), "did you mean 'policer'?");
+    (void)graph::run_topology_trial(topo, topo.seed, kPicosPerMilli, &typo);
+    FAIL() << "a typoed target ran";
+  } catch (const fault::PlanError& e) {
+    EXPECT_EQ(dry, e.what());
   }
 
   // Right name, wrong block type: the likelier authoring mistake gets a
   // plain answer.
   fault::FaultPlan wrong_type;
   wrong_type.rate_limit(kPicosPerMilli, kPicosPerMilli, "tap", 1.0);
-  try {
-    graph::validate_fault_targets(topo, wrong_type);
-    FAIL() << "rate_limit on a monitor validated";
-  } catch (const graph::TopologyError& e) {
-    expect_contains(e.what(), "is not a token_bucket");
-  }
+  expect_contains(dry_run_error(topo, wrong_type), "is not a token_bucket");
 }
 
 TEST(RateLimitFault, SqueezePerturbsTheClosedLoop) {

@@ -5,12 +5,13 @@
 // byte-identical under kSimOnly telemetry at any --jobs value.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "osnt/common/json.hpp"
 #include "osnt/core/runner.hpp"
+#include "osnt/graph/graph.hpp"
 #include "osnt/graph/topology.hpp"
 #include "osnt/telemetry/registry.hpp"
 #include "osnt/telemetry/series.hpp"
@@ -58,7 +59,8 @@ TEST(Topology, ParsesMinimalFile) {
   EXPECT_EQ(t.duration, 1500 * kPicosPerMicro);
   ASSERT_EQ(t.blocks.size(), 1u);
   EXPECT_EQ(t.blocks[0].type, "fifo_queue");
-  EXPECT_EQ(t.blocks[0].fifo.queue_frames, 32u);
+  EXPECT_EQ(std::get<graph::FifoQueueConfig>(t.blocks[0].config).queue_frames,
+            32u);
   EXPECT_EQ(t.workload.kind, graph::WorkloadSpec::Kind::kCbr);
   EXPECT_EQ(t.workload.frame_size, 512u);
   EXPECT_EQ(t.workload.ingress.block, "q");
@@ -66,12 +68,24 @@ TEST(Topology, ParsesMinimalFile) {
 }
 
 TEST(Topology, KnownTypesCoverTheBlockLibrary) {
-  const auto& types = TopologyFile::known_types();
-  for (const char* t : {"fifo_queue", "red", "token_bucket", "delay_ber",
-                        "ecmp", "sink", "monitor", "legacy_switch",
-                        "openflow_switch"}) {
-    EXPECT_NE(std::find(types.begin(), types.end(), t), types.end())
-        << "missing type " << t;
+  // Every type the loader names parses from a minimal block and builds a
+  // block whose ports match what validation checked against.
+  for (const std::string& type : TopologyFile::known_types()) {
+    SCOPED_TRACE(type);
+    const std::string extra =
+        type == "burst_source" ? R"(, "pattern": "on_off")" : "";
+    const TopologyFile t = TopologyFile::from_json(
+        R"({"blocks": [{"name": "b", "type": ")" + type + "\"" + extra +
+        "}]}");
+    ASSERT_EQ(t.blocks.size(), 1u);
+    const graph::BlockSpec& spec = t.blocks[0];
+    EXPECT_EQ(spec.type, type);
+    sim::Engine eng;
+    graph::Graph g{eng};
+    t.build(eng, g, 1);
+    ASSERT_EQ(g.num_blocks(), 1u);
+    EXPECT_EQ(g.block(0).num_inputs(), spec.num_inputs);
+    EXPECT_EQ(g.block(0).num_outputs(), spec.num_outputs);
   }
 }
 
@@ -171,6 +185,21 @@ TEST(Topology, WorkloadCountsDoNotNarrow) {
     "blocks": [{"name": "q", "type": "fifo_queue", "queue_frames": 1e30}]
   })");
   expect_contains(huge, "'queue_frames' must be a non-negative integer");
+}
+
+TEST(Topology, LoadRejectsCbrWorkloadsTheRunCannotSend) {
+  // Loading runs the workload checks, so a runt, a jumbo past the MAC's
+  // limit or a zero rate fails before any trial starts.
+  const auto cbr = [](const std::string& fields) {
+    return load_error(R"({
+      "blocks": [{"name": "q", "type": "fifo_queue"}],
+      "workload": {"kind": "cbr", )" + fields + R"(,
+                   "ingress": "q:0", "egress": "q:0"}
+    })");
+  };
+  expect_contains(cbr(R"("frame_size": 20)"), "'frame_size'");
+  expect_contains(cbr(R"("frame_size": 100000)"), "'frame_size'");
+  expect_contains(cbr(R"("rate_gbps": 0)"), "'rate_gbps'");
 }
 
 TEST(Topology, MssMustFitOneEthernetFrame) {

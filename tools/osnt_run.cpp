@@ -1,29 +1,10 @@
 // osnt_run — the command-line driver (the paper's "software driver
-// supporting command-line interfaces"). Subcommands build a simulated
-// testbed and run one measurement:
-//
-//   osnt_run latency    [--rate-gbps N] [--frame-size N] [--duration-ms N]
-//                       [--dut none|legacy|lossy] [--poisson]
-//                       [--faults PLAN.json] [--retries N]
-//                       [--event-budget N] [--wall-deadline-ms N]
-//                       [--trace PATH] [--metrics-out PATH]
-//   osnt_run throughput [--frame-size N] [--resolution F] [--dut ...]
-//                       [--jobs N]
-//   osnt_run capture    [--rate-gbps N] [--snap N] [--flows N]
-//                       [--pcap-out PATH]
-//   osnt_run tcp        [--cc newreno|cubic|bbr] [--flows N] [--mss N]
-//                       [--duration-ms N] [--bottleneck-gbps N]
-//                       [--queue-segments N] [--rate-limit-detector]
-//                       [--faults PLAN.json]
-//                       [--trials N] [--jobs N] [--series-out PATH]
-//   osnt_run topo       FILE.json [--seed N] [--duration-ms N]
-//                       [--trials N] [--jobs N] [--faults PLAN.json]
-//                       [--series-out PATH] [--validate-only]
-//   osnt_run oflops     [--module M] [--table-size N] [--rounds N]
-//                       [--faults PLAN.json]
+// supporting command-line interfaces"). Each subcommand in main()'s table
+// builds a simulated testbed and runs one measurement; `osnt_run <cmd>
+// --help` lists its flags.
 //
 // Global flags (any subcommand): --log-level debug|info|warn|error|off.
-// latency, throughput, capture, and tcp all take --trace PATH and
+// latency, throughput, capture, tcp and topo take --trace PATH and
 // --metrics-out PATH: --trace writes a Chrome trace_event JSON of the run
 // in *sim* time (open in Perfetto / chrome://tracing); --metrics-out
 // snapshots the process-wide telemetry registry as JSON at end of run.
@@ -184,6 +165,26 @@ bool load_fault_plan(const std::string& path, fault::FaultPlan& plan) {
   }
   std::printf("fault plan: %s\n", plan.summary().c_str());
   return true;
+}
+
+/// Report a sharded trial that did not succeed (stderr); true when it did.
+bool trial_ok(std::size_t i, const core::TrialResult& tr) {
+  if (tr.ok()) return true;
+  std::fprintf(stderr, "trial %zu %s after %u attempt(s): %s\n", i,
+               core::trial_outcome_name(tr.outcome), tr.attempts,
+               tr.error.c_str());
+  return false;
+}
+
+/// The rate-limit detector's verdict, when the trial's flows saw one.
+void print_rate_limit_detector(const tcp::TcpTrialReport& rep,
+                               const char* indent) {
+  if (rep.rld_detections == 0) return;
+  std::printf("%srate-limit detector: %llu detections  rate %.3f Gb/s  "
+              "time-to-detect %.1f us\n",
+              indent, static_cast<unsigned long long>(rep.rld_detections),
+              rep.rld_rate_bps / 1e9,
+              static_cast<double>(rep.rld_detect_time) / kPicosPerMicro);
 }
 
 /// Wire OSNT port 0 → DUT → OSNT port 1 (or back-to-back for "none").
@@ -595,10 +596,7 @@ int cmd_tcp(int argc, const char* const* argv) {
   int rc = 0;
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     const auto& tr = outcomes[i];
-    if (!tr.ok()) {
-      std::fprintf(stderr, "trial %zu %s after %u attempt(s): %s\n", i,
-                   core::trial_outcome_name(tr.outcome), tr.attempts,
-                   tr.error.c_str());
+    if (!trial_ok(i, tr)) {
       rc = 1;
       continue;
     }
@@ -620,13 +618,7 @@ int cmd_tcp(int argc, const char* const* argv) {
                 static_cast<unsigned long long>(rep.cwnd_reductions),
                 static_cast<unsigned long long>(rep.acks_sent),
                 rep.min_flow_rate_bps / 1e9, rep.max_flow_rate_bps / 1e9);
-    if (rep.rld_detections > 0) {
-      std::printf("rate-limit detector: %llu detections  rate %.3f Gb/s  "
-                  "time-to-detect %.1f us\n",
-                  static_cast<unsigned long long>(rep.rld_detections),
-                  rep.rld_rate_bps / 1e9,
-                  static_cast<double>(rep.rld_detect_time) / kPicosPerMicro);
-    }
+    print_rate_limit_detector(rep, "");
   }
   if (obs.series_enabled() && rc == 0) {
     // Merge in plan order: element-wise sums commute, so the bytes are
@@ -645,18 +637,23 @@ int cmd_topo(int argc, const char* const* argv) {
   bool validate_only = false;
   std::string faults_path;
   ObservabilityFlags obs;
-  CliParser cli{
+  std::string about =
       "osnt_run topo FILE.json — run a declarative scenario-graph topology\n"
-      "(see examples/topologies/; blocks: fifo_queue, red, token_bucket,\n"
-      "delay_ber, ecmp, sink, monitor, legacy_switch, openflow_switch,\n"
-      "burst_source)"};
+      "(see examples/topologies/)\nblocks:";
+  const char* sep = " ";
+  for (const auto& type : graph::TopologyFile::known_types()) {
+    about += sep + type;
+    sep = ", ";
+  }
+  CliParser cli{about};
   cli.add_flag("seed", &seed, "base seed (0 = the file's; trial i adds i)");
   cli.add_flag("duration-ms", &duration_ms,
                "simulated duration (0 = the file's)");
   cli.add_flag("faults", &faults_path, "JSON fault plan to inject");
   cli.add_flag("validate-only", &validate_only,
-               "load the topology (and fault plan), resolve fault targets, "
-               "print the block table, and exit without running");
+               "load the topology (and fault plan), build the graph without "
+               "running it, resolve fault targets, print the block table, "
+               "and exit");
   cli.add_flag("trials", &trials, "independent trials (distinct seeds)");
   cli.add_flag("jobs", &jobs,
                "worker threads for the trials (0 = all hardware threads)");
@@ -697,14 +694,19 @@ int cmd_topo(int argc, const char* const* argv) {
                                                                       : "none");
 
   if (validate_only) {
-    // Dry run: the file already parsed and wired, so all that is left is
-    // the semantic workload checks, resolving the fault plan's block
-    // targets, and showing what would be built — cheap enough for CI to
-    // gate every plan/topology pair on.
+    // Dry run: the file already parsed, wired and passed its workload
+    // checks. Build the graph on an engine that never runs and resolve
+    // the plan's block targets by the code arm() uses, so the dry run
+    // rejects exactly what the run would — cheap enough for CI to gate
+    // every plan/topology pair on.
     try {
-      graph::validate_workload(topo);
-      graph::validate_fault_targets(topo, fplan);
-    } catch (const graph::GraphError& e) {
+      sim::Engine eng;
+      graph::Graph g{eng};
+      topo.build(eng, g, base_seed, duration);
+      fault::Injector inj(eng, fplan);
+      inj.attach_graph(g);
+      inj.check_targets();
+    } catch (const std::exception& e) {
       std::fprintf(stderr, "%s\n", e.what());
       return 1;
     }
@@ -747,10 +749,7 @@ int cmd_topo(int argc, const char* const* argv) {
   int rc = 0;
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     const auto& tr = outcomes[i];
-    if (!tr.ok()) {
-      std::fprintf(stderr, "trial %zu %s after %u attempt(s): %s\n", i,
-                   core::trial_outcome_name(tr.outcome), tr.attempts,
-                   tr.error.c_str());
+    if (!trial_ok(i, tr)) {
       rc = 1;
       continue;
     }
@@ -769,14 +768,7 @@ int cmd_topo(int argc, const char* const* argv) {
                     rep.tcp.rtt_p99_ns,
                     rep.tcp.rtt_p99_ns / rep.tcp.rtt_min_ns);
       }
-      if (rep.tcp.rld_detections > 0) {
-        std::printf(
-            "  rate-limit detector: %llu detections  rate %.3f Gb/s  "
-            "time-to-detect %.1f us\n",
-            static_cast<unsigned long long>(rep.tcp.rld_detections),
-            rep.tcp.rld_rate_bps / 1e9,
-            static_cast<double>(rep.tcp.rld_detect_time) / kPicosPerMicro);
-      }
+      print_rate_limit_detector(rep.tcp, "  ");
     } else if (topo.workload.kind == graph::WorkloadSpec::Kind::kCbr) {
       std::printf(
           "trial %zu seed %llu: tx %llu  rx %llu  loss %.4f%%  "
@@ -890,23 +882,32 @@ int main(int argc, char** argv) {
     }
   }
 
+  static constexpr struct {
+    const char* name;
+    int (*run)(int, const char* const*);
+  } kCommands[] = {{"latency", cmd_latency}, {"throughput", cmd_throughput},
+                   {"capture", cmd_capture}, {"tcp", cmd_tcp},
+                   {"topo", cmd_topo},       {"oflops", cmd_oflops},
+                   {"fleet", cmd_fleet}};
   if (args.size() < 2) {
+    std::string names;
+    for (const auto& c : kCommands) {
+      if (!names.empty()) names += '|';
+      names += c.name;
+    }
     std::fprintf(stderr,
-                 "usage: osnt_run <latency|throughput|capture|tcp|topo|oflops|"
-                 "fleet> [flags] [--log-level debug|info|warn|error|off]\n"
-                 "       osnt_run <cmd> --help\n");
+                 "usage: osnt_run <%s> [flags] [--log-level "
+                 "debug|info|warn|error|off]\n"
+                 "       osnt_run <cmd> --help\n",
+                 names.c_str());
     return 1;
   }
   const std::string cmd = args[1];
-  const int sub_argc = static_cast<int>(args.size()) - 1;
-  const char* const* sub_argv = args.data() + 1;
-  if (cmd == "latency") return cmd_latency(sub_argc, sub_argv);
-  if (cmd == "tcp") return cmd_tcp(sub_argc, sub_argv);
-  if (cmd == "topo") return cmd_topo(sub_argc, sub_argv);
-  if (cmd == "throughput") return cmd_throughput(sub_argc, sub_argv);
-  if (cmd == "capture") return cmd_capture(sub_argc, sub_argv);
-  if (cmd == "oflops") return cmd_oflops(sub_argc, sub_argv);
-  if (cmd == "fleet") return cmd_fleet(sub_argc, sub_argv);
+  for (const auto& c : kCommands) {
+    if (cmd == c.name) {
+      return c.run(static_cast<int>(args.size()) - 1, args.data() + 1);
+    }
+  }
   std::fprintf(stderr, "unknown command '%s'\n", cmd.c_str());
   return 1;
 }
