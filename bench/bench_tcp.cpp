@@ -1,8 +1,9 @@
 // Closed-loop transport cost + fidelity gate: (a) how many
 // congestion-controlled flows the simulator can turn per wall second,
 // measured with manual timing so items/sec is flows simulated per wall
-// second of *simulation* — testbed construction (building N flow state
-// machines, the device, the cable) happens outside the timed region;
+// second of *simulation* — trial construction (building N flow state
+// machines, the device, the preset's one-block graph) happens outside the
+// timed region;
 // (b) the wheel-vs-heap A/B at scale in a timer-dominated regime (the
 // tentpole's >= 2x gate at 10k flows); and (c) the goodput-vs-BER
 // curve, the headline experiment of the tcp subsystem. BENCH_tcp.json
@@ -24,27 +25,30 @@ namespace {
 
 using namespace osnt;
 
-tcp::WorkloadConfig bench_cfg(const char* cc, std::size_t flows) {
-  tcp::WorkloadConfig cfg;
-  cfg.cc = cc;
-  cfg.flows = flows;
-  cfg.bottleneck_gbps = 5.0;
-  cfg.queue_segments = 256;
-  cfg.seed = 1;
-  return cfg;
+/// The bench's tcp stanza, run on the `osnt_run tcp` preset's one
+/// pass-through monitor block (graph::tcp_preset).
+graph::WorkloadSpec bench_spec(const char* cc, std::size_t flows) {
+  graph::WorkloadSpec w;
+  w.kind = graph::WorkloadSpec::Kind::kTcp;
+  w.cc = cc;
+  w.flows = flows;
+  w.bottleneck_gbps = 5.0;
+  w.queue_segments = 256;
+  return w;
 }
 
 /// Run one pre-built trial, timing only the simulation. Returns the
 /// report for counter bookkeeping.
 tcp::TcpTrialReport timed_trial(benchmark::State& state,
-                                const tcp::WorkloadConfig& cfg,
+                                const graph::TopologyFile& topo,
                                 Picos duration) {
-  tcp::ClosedLoopTestbed bed(cfg);  // untimed: flow/device construction
+  // Untimed: flow/device/graph construction.
+  graph::TopologyTrial trial(topo, /*trial_seed=*/1, duration);
   const auto t0 = std::chrono::steady_clock::now();
-  bed.run_until(duration);
+  trial.run();
   const auto t1 = std::chrono::steady_clock::now();
   state.SetIterationTime(std::chrono::duration<double>(t1 - t0).count());
-  return bed.report(duration);
+  return trial.report().tcp;
 }
 
 /// Flow-simulation throughput: one 2 ms closed-loop trial per iteration,
@@ -53,10 +57,10 @@ tcp::TcpTrialReport timed_trial(benchmark::State& state,
 /// tx→link→rx→ack path, not just the scheduler.
 void BM_ClosedLoopFlows(benchmark::State& state) {
   const auto flows = static_cast<std::size_t>(state.range(0));
-  const auto cfg = bench_cfg("newreno", flows);
+  const auto topo = graph::tcp_preset(bench_spec("newreno", flows));
   std::uint64_t segs = 0;
   for (auto _ : state) {
-    const auto r = timed_trial(state, cfg, 2 * kPicosPerMilli);
+    const auto r = timed_trial(state, topo, 2 * kPicosPerMilli);
     segs += r.segs_sent;
     benchmark::DoNotOptimize(r.bytes_acked);
   }
@@ -81,14 +85,15 @@ BENCHMARK(BM_ClosedLoopFlows)
 /// and checks it >= 2x the recorded pre-§12 baseline at the 10k point.
 void BM_FlowScale(benchmark::State& state) {
   const auto flows = static_cast<std::size_t>(state.range(0));
-  tcp::WorkloadConfig cfg = bench_cfg("newreno", flows);
-  cfg.mss = 256;
-  cfg.bottleneck_gbps = 0.5;
-  cfg.min_rto = 200 * kPicosPerMicro;
-  cfg.max_rto = 2 * kPicosPerMilli;
+  graph::WorkloadSpec w = bench_spec("newreno", flows);
+  w.mss = 256;
+  w.bottleneck_gbps = 0.5;
+  w.min_rto = 200 * kPicosPerMicro;
+  w.max_rto = 2 * kPicosPerMilli;
+  const auto topo = graph::tcp_preset(w);
   std::uint64_t rto_fires = 0;
   for (auto _ : state) {
-    const auto r = timed_trial(state, cfg, 2 * kPicosPerMilli);
+    const auto r = timed_trial(state, topo, 2 * kPicosPerMilli);
     rto_fires += r.rto_fires;
     benchmark::DoNotOptimize(r.bytes_acked);
   }
@@ -109,9 +114,9 @@ BENCHMARK(BM_FlowScale)
 void BM_ClosedLoopPerCc(benchmark::State& state) {
   static const char* kCc[] = {"newreno", "cubic", "bbr"};
   const char* cc = kCc[state.range(0)];
-  const auto cfg = bench_cfg(cc, 4);
+  const auto topo = graph::tcp_preset(bench_spec(cc, 4));
   for (auto _ : state) {
-    const auto r = timed_trial(state, cfg, 2 * kPicosPerMilli);
+    const auto r = timed_trial(state, topo, 2 * kPicosPerMilli);
     benchmark::DoNotOptimize(r.bytes_acked);
   }
   state.SetItemsProcessed(state.iterations() * 4);
@@ -134,7 +139,10 @@ BENCHMARK(BM_ClosedLoopPerCc)
 /// graph_overhead from the pair; the gate is <= 5%.
 void BM_GraphOverhead(benchmark::State& state) {
   const bool through_graph = state.range(0) == 1;
-  const auto cfg = bench_cfg("newreno", 8);
+  tcp::WorkloadConfig cfg;
+  cfg.flows = 8;
+  cfg.bottleneck_gbps = 5.0;
+  cfg.queue_segments = 256;
   std::uint64_t bytes_acked = 0;
   for (auto _ : state) {
     // Untimed: engine/device/graph construction and cabling.
@@ -181,7 +189,7 @@ BENCHMARK(BM_GraphOverhead)
 void BM_GoodputVsBer(benchmark::State& state) {
   static constexpr double kBer[] = {0.0, 1e-7, 1e-6, 5e-6, 2e-5};
   const double ber = kBer[state.range(0)];
-  const auto cfg = bench_cfg("bbr", 4);
+  const auto topo = graph::tcp_preset(bench_spec("bbr", 4));
   fault::FaultPlan plan;
   if (ber > 0.0) {
     plan = fault::FaultPlan::from_json(
@@ -192,10 +200,11 @@ void BM_GoodputVsBer(benchmark::State& state) {
   }
   double goodput = 0.0;
   for (auto _ : state) {
-    const auto r = tcp::run_closed_loop_trial(
-        cfg, 20 * kPicosPerMilli, ber > 0.0 ? &plan : nullptr);
-    goodput = r.goodput_bps;
-    benchmark::DoNotOptimize(r.retransmits);
+    const auto r = graph::run_topology_trial(
+        topo, /*trial_seed=*/1, 20 * kPicosPerMilli,
+        ber > 0.0 ? &plan : nullptr);
+    goodput = r.tcp.goodput_bps;
+    benchmark::DoNotOptimize(r.tcp.retransmits);
   }
   state.counters["ber"] = ber;
   state.counters["goodput_gbps"] = goodput / 1e9;

@@ -1,8 +1,10 @@
 // Declarative topologies: a JSON file names a set of blocks, wires their
 // ports, and picks a workload; TopologyFile turns that into a live Graph
-// and run_topology_trial() closes the loop with the OSNT device — TCP
-// flows or a CBR stream enter the graph at `ingress` and leave at
-// `egress`, with an optional separate path for the ACK direction.
+// and TopologyTrial closes the loop with the OSNT device — TCP flows or a
+// CBR stream enter the graph at `ingress` and leave at `egress`, with an
+// optional separate path for the ACK direction. TopologyTrial is the one
+// trial driver: `osnt_run tcp` runs tcp_preset(), a generated one-block
+// topology, through it too.
 //
 // Parsing is strict (osnt::json): any unknown key or misspelled block
 // type is a hard error with the line/column it occurred at, plus a
@@ -26,7 +28,9 @@
 #include <vector>
 
 #include "osnt/burst/source.hpp"
+#include "osnt/core/device.hpp"
 #include "osnt/core/measure.hpp"
+#include "osnt/fault/injector.hpp"
 #include "osnt/fault/plan.hpp"
 #include "osnt/graph/blocks.hpp"
 #include "osnt/graph/dut_blocks.hpp"
@@ -93,7 +97,10 @@ struct WorkloadSpec {
   std::uint32_t mss = 1448;
   double bottleneck_gbps = 0.0;  ///< source-side TX drain; 0 = line rate
   std::size_t queue_segments = 256;
-  std::uint64_t rwnd_kb = 1024;
+  std::uint64_t rwnd_kb = 1024;      ///< at least 1
+  std::uint64_t bytes_per_flow = 0;  ///< 0 = unbounded (duration-limited)
+  Picos min_rto = kPicosPerMilli;    ///< 0 < min_rto <= max_rto; §11
+  Picos max_rto = 250 * kPicosPerMilli;
   /// Arm the per-flow RateLimitDetector (tcp/rate_limit_detector.hpp) so
   /// the congestion controller adapts to in-path policers/shapers.
   bool rate_limit_detector = false;
@@ -150,26 +157,65 @@ struct TopologyTrialReport {
   std::vector<BlockCounters> blocks;
   std::uint64_t graph_frames_in = 0;
   std::uint64_t graph_drops = 0;
-  /// Filled when a series interval was requested (see run_topology_trial).
+  /// Filled when a series interval was requested (see TopologyTrial).
   telemetry::SeriesData series{};
 };
 
 /// Semantic workload validation beyond parse-time shape checks: tcp cc
-/// names (with did-you-mean), cbr rate/frame-size ranges, and every
-/// burst_source block's pattern config. Throws TopologyError. from_json
-/// already runs it; it stays callable on a TopologyFile built by hand.
+/// names (with did-you-mean), the bottleneck rate and RTO clamp, cbr
+/// rate/frame-size ranges, and every burst_source block's pattern config.
+/// Throws TopologyError. from_json already runs it; it stays callable on
+/// a TopologyFile built by hand.
 void validate_workload(const TopologyFile& topo);
 
-/// One deterministic trial: fresh engine + device + graph built from
-/// `topo`, workload attached at the declared endpoints, run for
-/// `duration` (0 = the file's duration). Shared by osnt_run topo, the
-/// tests, and the graph A/B benchmark.
-///
-/// `series_interval > 0` attaches a telemetry::TimeSeries sampler to the
-/// trial engine (per-block frames/bytes/drops channels, monitor RTT
-/// histograms, and — for tcp workloads — the aggregate tcp.* channels)
-/// and returns its data in the report. Per-trial series merge
-/// commutatively, so sharded runs stay byte-identical at any --jobs.
+/// The `osnt_run tcp` preset: tcp workload `w` (its ingress/egress
+/// overwritten) on one pass-through monitor block named "cable": device
+/// port 0 → cable → port 1, ACKs on a direct reverse cable. Throws
+/// TopologyError where validate_workload does.
+[[nodiscard]] TopologyFile tcp_preset(WorkloadSpec w);
+
+/// One deterministic trial. The constructor builds a fresh engine, device
+/// and graph from `topo`, attaches the workload at its endpoints and arms
+/// the fault plan, so a caller can time run() alone or set engine
+/// switches (set_wheel_enabled) first. `duration` 0 = the file's; `trace`
+/// is for single-threaded trials only. `series_interval > 0` samples
+/// per-block frames/bytes/drops, monitor RTT histograms and the tcp.*
+/// aggregates; per-trial series merge commutatively, so sharded runs stay
+/// byte-identical at any --jobs.
+class TopologyTrial {
+ public:
+  TopologyTrial(const TopologyFile& topo, std::uint64_t trial_seed,
+                Picos duration = 0, const fault::FaultPlan* plan = nullptr,
+                telemetry::TraceRecorder* trace = nullptr,
+                Picos series_interval = 0);
+  TopologyTrial(const TopologyTrial&) = delete;
+  TopologyTrial& operator=(const TopologyTrial&) = delete;
+
+  /// Start the graph and the workload; simulate to the duration. Once.
+  void run();
+  /// Once, after run() (the series moves out).
+  [[nodiscard]] TopologyTrialReport report();
+
+  [[nodiscard]] sim::Engine& engine() { return eng_; }
+  /// Null unless the workload is tcp.
+  [[nodiscard]] tcp::ClosedLoopWorkload* tcp_workload() {
+    return tcp_ ? &*tcp_ : nullptr;
+  }
+
+ private:
+  WorkloadSpec spec_;
+  std::uint64_t seed_;
+  Picos duration_;
+  sim::Engine eng_;
+  core::OsntDevice dev_{eng_};
+  Graph g_{eng_};
+  std::optional<telemetry::TimeSeries> series_;
+  std::optional<tcp::ClosedLoopWorkload> tcp_;
+  std::optional<fault::Injector> injector_;
+  core::RunResult cbr_{};
+};
+
+/// Construct, run and report one TopologyTrial.
 [[nodiscard]] TopologyTrialReport run_topology_trial(
     const TopologyFile& topo, std::uint64_t trial_seed, Picos duration = 0,
     const fault::FaultPlan* plan = nullptr,

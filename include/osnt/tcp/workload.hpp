@@ -1,5 +1,5 @@
-// ClosedLoopWorkload: N congestion-controlled flows over one cabled pair
-// of OSNT ports. The sender side lives on port 0: per-flow tcp::Flow
+// ClosedLoopWorkload: N congestion-controlled flows between two OSNT
+// ports. The sender side lives on port 0: per-flow tcp::Flow
 // state machines emit TCP/IPv4 frames into one shared
 // gen::ClosedLoopSource, which the port's TX pipeline drains at the
 // configured bottleneck rate (the queue bound is the bottleneck buffer).
@@ -7,7 +7,11 @@
 // delayed-ACK reassembly state that transmits cumulative/duplicate ACKs
 // (at most 200 us late) back through the reverse sim link — so loss
 // injected anywhere on the path (osnt::fault BER windows, flaps) closes
-// the control loop. DMA capture stays off on both ports.
+// the control loop. DMA capture stays off on both ports. The workload
+// does not wire the ports: graph::TopologyTrial (graph/topology.hpp)
+// connects them through a topology's blocks and drives every closed-loop
+// trial; `osnt_run tcp` runs graph::tcp_preset(), one pass-through
+// monitor block, through it.
 //
 // Built for flow counts in the 10k–1M range (DESIGN.md §12): flows live
 // in a generation-counted Slab (no per-flow unique_ptr), receiver state
@@ -18,14 +22,10 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "osnt/core/device.hpp"
-#include "osnt/fault/injector.hpp"
-#include "osnt/fault/plan.hpp"
 #include "osnt/gen/closed_loop.hpp"
 #include "osnt/mon/latency_probe.hpp"
 #include "osnt/sim/engine.hpp"
@@ -46,10 +46,6 @@ struct WorkloadConfig {
   std::uint64_t bytes_per_flow = 0;  ///< 0 = unbounded (duration-limited)
   Picos min_rto = kPicosPerMilli;    ///< sim-scaled; see DESIGN.md §11
   Picos max_rto = 250 * kPicosPerMilli;
-  /// Route RTO/delack/pacing timers through the engine's timing wheel
-  /// (schedule_bulk_*). false = heap-only; firing order and kSimOnly
-  /// telemetry are identical either way (DESIGN.md §12).
-  bool wheel_timers = true;
   /// Arm the per-flow R-TCP-style RateLimitDetector (DESIGN.md §15).
   /// Off by default; off is byte-identical to pre-detector builds.
   bool rate_limit_detector = false;
@@ -134,8 +130,8 @@ struct ReceiverCold {
   std::uint64_t below_window_segs = 0;  ///< spurious-retransmit arrivals
 };
 
-/// Aggregate result of one closed-loop trial (the unit osnt_run tcp,
-/// tests, and the bench all shard through core::Runner).
+/// Aggregate result of one closed-loop trial (graph::TopologyTrial fills
+/// it for tcp workloads).
 struct TcpTrialReport {
   std::uint64_t bytes_acked = 0;
   std::uint64_t segs_sent = 0;
@@ -161,9 +157,8 @@ struct TcpTrialReport {
 
 class ClosedLoopWorkload {
  public:
-  /// Reconfigures port 0's generator pipeline, installs monitor taps
-  /// on both ports, and sets the engine's bulk-timer routing from
-  /// cfg.wheel_timers. The engine and device must outlive the workload;
+  /// Reconfigures port 0's generator pipeline and installs monitor taps
+  /// on both ports. The engine and device must outlive the workload;
   /// the workload must be destroyed before either (it cancels its timers
   /// and detaches its taps in the destructor).
   ClosedLoopWorkload(sim::Engine& eng, core::OsntDevice& dev,
@@ -248,52 +243,5 @@ class ClosedLoopWorkload {
   std::uint64_t delack_cancels_saved_ = 0;
   mon::LatencyProbe rtt_probe_;
 };
-
-/// A complete closed-loop testbed: engine + device + cabled port pair +
-/// workload (+ optional armed fault plan). Exists so callers that care
-/// about wall time — the benchmarks, the 100k-flow CLI smoke — can split
-/// construction (packet templates, slab growth, 2·N state blocks) from
-/// the run itself and measure only the simulation.
-class ClosedLoopTestbed {
- public:
-  explicit ClosedLoopTestbed(const WorkloadConfig& cfg,
-                             const fault::FaultPlan* plan = nullptr,
-                             telemetry::TraceRecorder* trace = nullptr);
-
-  /// Start (first call) and simulate up to absolute sim time `until`.
-  void run_until(Picos until);
-
-  /// Aggregate the trial counters; `window` scales the goodput figure.
-  [[nodiscard]] TcpTrialReport report(Picos window) const {
-    return workload_->report(window);
-  }
-
-  [[nodiscard]] sim::Engine& engine() { return eng_; }
-  [[nodiscard]] ClosedLoopWorkload& workload() { return *workload_; }
-
- private:
-  sim::Engine eng_;
-  core::OsntDevice dev_;
-  std::unique_ptr<ClosedLoopWorkload> workload_;
-  std::optional<fault::Injector> injector_;
-  bool started_ = false;
-};
-
-/// Build a fresh testbed (engine + device + cabled ports), run `cfg` for
-/// `duration` of sim time with an optional fault plan armed on the
-/// device, and report aggregates. One deterministic code path shared by
-/// the CLI, the tests, and the benchmark — byte-identical reruns for a
-/// fixed (cfg.seed, plan) pair. `trace` attaches a recorder to the
-/// trial's engine (single-trial runs only; the recorder is not
-/// thread-safe across sharded trials).
-///
-/// `series_interval > 0` attaches a sim-time sampler (tcp.* counter
-/// channels + the tcp.rtt.ns histogram) and stores its per-interval
-/// deltas into `*series_out`; per-trial series merge commutatively.
-[[nodiscard]] TcpTrialReport run_closed_loop_trial(
-    const WorkloadConfig& cfg, Picos duration,
-    const fault::FaultPlan* plan = nullptr,
-    telemetry::TraceRecorder* trace = nullptr, Picos series_interval = 0,
-    telemetry::SeriesData* series_out = nullptr);
 
 }  // namespace osnt::tcp

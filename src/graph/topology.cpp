@@ -19,6 +19,10 @@ namespace {
 using Json = json::Value;
 using Reader = json::ObjectReader;
 
+/// rwnd_kb is scaled to bytes; a larger value would wrap.
+constexpr std::uint64_t kMaxRwndKb =
+    std::numeric_limits<std::uint64_t>::max() / 1024;
+
 [[noreturn]] void fail(const std::string& why, const Json* at = nullptr) {
   std::string msg = "topology: " + why;
   if (at && at->line > 0) msg += " (" + at->where() + ")";
@@ -275,15 +279,17 @@ WorkloadSpec parse_workload(const Json& w) {
   }
   if (kind.string == "tcp") {
     spec.kind = WorkloadSpec::Kind::kTcp;
-    spec.flows = r.count("flows", spec.flows);
+    spec.flows = r.count("flows", spec.flows, 1, tcp::kMaxFlows);
     spec.cc = r.string("cc", spec.cc);
     spec.mss = r.count("mss", spec.mss, 1, tcp::kMaxMss);
     spec.bottleneck_gbps = r.number("bottleneck_gbps", spec.bottleneck_gbps);
     spec.queue_segments = r.count("queue_segments", spec.queue_segments);
-    spec.rwnd_kb = r.count("rwnd_kb", spec.rwnd_kb);
+    spec.rwnd_kb = r.count("rwnd_kb", spec.rwnd_kb, 1, kMaxRwndKb);
+    spec.bytes_per_flow = r.count("bytes_per_flow", spec.bytes_per_flow);
+    spec.min_rto = r.time("min_rto", spec.min_rto);
+    spec.max_rto = r.time("max_rto", spec.max_rto);
     spec.rate_limit_detector =
         r.boolean("rate_limit_detector", spec.rate_limit_detector);
-    if (spec.flows == 0) r.fail("'flows' must be positive");
     if (const Json* v = r.find("ack_ingress", Json::Type::kString)) {
       spec.ack_ingress = parse_endpoint(*v, who + ".ack_ingress");
     }
@@ -450,8 +456,16 @@ void validate_workload(const TopologyFile& topo) {
     if (std::find(kCc.begin(), kCc.end(), w.cc) == kCc.end()) {
       fail("workload: unknown cc '" + w.cc + "'" + did_you_mean(w.cc, kCc));
     }
+    if (w.flows == 0 || w.flows > tcp::kMaxFlows) {
+      fail("workload: 'flows' must be in [1, " +
+           std::to_string(tcp::kMaxFlows) + "]");
+    }
     if (w.bottleneck_gbps < 0) {
       fail("workload: 'bottleneck_gbps' must not be negative");
+    }
+    if (w.min_rto <= 0) fail("workload: 'min_rto' must be positive");
+    if (w.min_rto > w.max_rto) {
+      fail("workload: 'min_rto' must not exceed 'max_rto'");
     }
   } else if (w.kind == WorkloadSpec::Kind::kCbr) {
     if (w.rate_gbps <= 0) fail("workload: 'rate_gbps' must be positive");
@@ -471,63 +485,66 @@ void validate_workload(const TopologyFile& topo) {
   }
 }
 
-TopologyTrialReport run_topology_trial(const TopologyFile& topo,
-                                       std::uint64_t trial_seed,
-                                       Picos duration,
-                                       const fault::FaultPlan* plan,
-                                       telemetry::TraceRecorder* trace,
-                                       Picos series_interval) {
-  if (duration == 0) duration = topo.duration;
-  TopologyTrialReport report;
+TopologyFile tcp_preset(WorkloadSpec w) {
+  TopologyFile t;
+  t.name = "tcp";
+  t.blocks.push_back({"cable", "monitor", 1, 1, MonitorConfig{}});
+  w.ingress = w.egress = Endpoint{"cable", 0};
+  t.workload = std::move(w);
+  validate_workload(t);
+  return t;
+}
 
-  sim::Engine eng;
-  if (trace) eng.set_trace(trace);
-  core::OsntDevice dev{eng};
-  Graph g{eng};
-  topo.build(eng, g, trial_seed, duration);
-
-  const WorkloadSpec& w = topo.workload;
+TopologyTrial::TopologyTrial(const TopologyFile& topo,
+                             std::uint64_t trial_seed, Picos duration,
+                             const fault::FaultPlan* plan,
+                             telemetry::TraceRecorder* trace,
+                             Picos series_interval)
+    : spec_(topo.workload),
+      seed_(trial_seed),
+      duration_(duration == 0 ? topo.duration : duration) {
+  if (trace) eng_.set_trace(trace);
+  topo.build(eng_, g_, seed_, duration_);
 
   // Sim-time sampler: per-block intrinsic channels plus each monitor's
   // in-plane RTT histogram. A tcp workload adds its channels below.
-  std::optional<telemetry::TimeSeries> series;
   if (series_interval > 0) {
-    series.emplace(series_interval);
-    for (std::size_t i = 0; i < g.num_blocks(); ++i) {
-      const Block* b = &g.block(i);
+    series_.emplace(series_interval);
+    for (std::size_t i = 0; i < g_.num_blocks(); ++i) {
+      const Block* b = &g_.block(i);
       const std::string prefix = "graph." + b->name() + ".";
-      series->add_counter(prefix + "frames_in",
-                          [b] { return b->frames_in(); });
-      series->add_counter(prefix + "frames_out",
-                          [b] { return b->frames_out(); });
-      series->add_counter(prefix + "drops", [b] { return b->drops(); });
-      series->add_counter(prefix + "frame_bytes",
-                          [b] { return b->bytes_in(); });
+      series_->add_counter(prefix + "frames_in",
+                           [b] { return b->frames_in(); });
+      series_->add_counter(prefix + "frames_out",
+                           [b] { return b->frames_out(); });
+      series_->add_counter(prefix + "drops", [b] { return b->drops(); });
+      series_->add_counter(prefix + "frame_bytes",
+                           [b] { return b->bytes_in(); });
       if (const auto* mb = dynamic_cast<const MonitorBlock*>(b)) {
-        series->add_histogram(prefix + "rtt.ns",
-                              [mb] { return mb->rtt_probe().merged(); });
+        series_->add_histogram(prefix + "rtt.ns",
+                               [mb] { return mb->rtt_probe().merged(); });
       }
     }
-    series->attach(eng, duration);
+    series_->attach(eng_, duration_);
   }
 
   // Forward path: device TX port 0 → graph → device RX port 1. The
   // reverse direction runs through its own blocks (a tcp ACK path) or
   // an ideal cable.
+  const WorkloadSpec& w = topo.workload;
   if (w.kind != WorkloadSpec::Kind::kNone) {
-    dev.port(0).out_link().connect(g.input(w.ingress.block, w.ingress.port));
-    g.connect_output(w.egress.block, w.egress.port, dev.port(1).rx());
+    dev_.port(0).out_link().connect(g_.input(w.ingress.block, w.ingress.port));
+    g_.connect_output(w.egress.block, w.egress.port, dev_.port(1).rx());
     if (w.ack_ingress) {
-      dev.port(1).out_link().connect(
-          g.input(w.ack_ingress->block, w.ack_ingress->port));
-      g.connect_output(w.ack_egress->block, w.ack_egress->port,
-                       dev.port(0).rx());
+      dev_.port(1).out_link().connect(
+          g_.input(w.ack_ingress->block, w.ack_ingress->port));
+      g_.connect_output(w.ack_egress->block, w.ack_egress->port,
+                        dev_.port(0).rx());
     } else {
-      dev.port(1).out_link().connect(dev.port(0).rx());
+      dev_.port(1).out_link().connect(dev_.port(0).rx());
     }
   }
 
-  std::optional<tcp::ClosedLoopWorkload> workload;
   if (w.kind == WorkloadSpec::Kind::kTcp) {
     tcp::WorkloadConfig cfg;
     cfg.flows = w.flows;
@@ -536,43 +553,49 @@ TopologyTrialReport run_topology_trial(const TopologyFile& topo,
     cfg.bottleneck_gbps = w.bottleneck_gbps;
     cfg.queue_segments = w.queue_segments;
     cfg.rwnd_bytes = w.rwnd_kb * 1024;
+    cfg.bytes_per_flow = w.bytes_per_flow;
+    cfg.min_rto = w.min_rto;
+    cfg.max_rto = w.max_rto;
     cfg.rate_limit_detector = w.rate_limit_detector;
-    cfg.seed = trial_seed;
-    workload.emplace(eng, dev, cfg);
-    if (series) workload->add_series_channels(*series);
+    cfg.seed = seed_;
+    tcp_.emplace(eng_, dev_, cfg);
+    if (series_) tcp_->add_series_channels(*series_);
   }
 
-  std::optional<fault::Injector> injector;
   if (plan && !plan->events.empty()) {
-    injector.emplace(eng, *plan);
-    injector->attach_device(dev);
-    injector->attach_graph(g);
-    injector->arm();
+    injector_.emplace(eng_, *plan);
+    injector_->attach_device(dev_);
+    injector_->attach_graph(g_);
+    injector_->arm();
   }
-  g.start();
-  if (workload) workload->start();
+}
 
-  if (w.kind == WorkloadSpec::Kind::kCbr) {
+void TopologyTrial::run() {
+  g_.start();
+  if (tcp_) tcp_->start();
+  if (spec_.kind == WorkloadSpec::Kind::kCbr) {
     core::TrafficSpec spec;
-    spec.rate = gen::RateSpec::gbps(w.rate_gbps);
-    spec.frame_size = w.frame_size;
-    spec.flow_count = w.flow_count;
-    spec.seed = trial_seed;
-    report.cbr = core::run_capture_test(eng, dev, 0, 1, spec, duration);
+    spec.rate = gen::RateSpec::gbps(spec_.rate_gbps);
+    spec.frame_size = spec_.frame_size;
+    spec.flow_count = spec_.flow_count;
+    spec.seed = seed_;
+    cbr_ = core::run_capture_test(eng_, dev_, 0, 1, spec, duration_);
   } else {
-    eng.run_until(duration);
+    eng_.run_until(duration_);
   }
+}
 
-  if (workload) report.tcp = workload->report(duration);
-  if (series) {
-    series->finish();
-    report.series = series->take();
+TopologyTrialReport TopologyTrial::report() {
+  TopologyTrialReport report;
+  report.cbr = cbr_;
+  if (tcp_) report.tcp = tcp_->report(duration_);
+  if (series_) {
+    series_->finish();
+    report.series = series_->take();
   }
-  workload.reset();  // detaches its taps, flushes tcp.* telemetry
-
-  report.blocks.reserve(g.num_blocks());
-  for (std::size_t i = 0; i < g.num_blocks(); ++i) {
-    const Block& b = g.block(i);
+  report.blocks.reserve(g_.num_blocks());
+  for (std::size_t i = 0; i < g_.num_blocks(); ++i) {
+    const Block& b = g_.block(i);
     BlockCounters bc;
     bc.name = b.name();
     bc.frames_in = b.frames_in();
@@ -590,9 +613,21 @@ TopologyTrialReport run_topology_trial(const TopologyFile& topo,
     }
     report.blocks.push_back(std::move(bc));
   }
-  report.graph_frames_in = g.total_frames_in();
-  report.graph_drops = g.total_drops();
+  report.graph_frames_in = g_.total_frames_in();
+  report.graph_drops = g_.total_drops();
   return report;
+}
+
+TopologyTrialReport run_topology_trial(const TopologyFile& topo,
+                                       std::uint64_t trial_seed,
+                                       Picos duration,
+                                       const fault::FaultPlan* plan,
+                                       telemetry::TraceRecorder* trace,
+                                       Picos series_interval) {
+  TopologyTrial trial(topo, trial_seed, duration, plan, trace,
+                      series_interval);
+  trial.run();
+  return trial.report();
 }
 
 }  // namespace osnt::graph

@@ -48,8 +48,6 @@ ClosedLoopWorkload::ClosedLoopWorkload(sim::Engine& eng,
         "tcp: flows exceeds the addressing scheme's capacity (" +
         std::to_string(kMaxFlows) + ")");
   }
-  eng_->set_wheel_enabled(cfg_.wheel_timers);
-
   gen::TxConfig txcfg;
   txcfg.rate = cfg_.bottleneck_gbps > 0.0
                    ? gen::RateSpec::gbps(cfg_.bottleneck_gbps)
@@ -345,28 +343,6 @@ double ClosedLoopWorkload::goodput_bps(Picos window) const {
          static_cast<double>(kPicosPerSec) / static_cast<double>(window);
 }
 
-ClosedLoopTestbed::ClosedLoopTestbed(const WorkloadConfig& cfg,
-                                     const fault::FaultPlan* plan,
-                                     telemetry::TraceRecorder* trace)
-    : dev_(eng_) {
-  if (trace) eng_.set_trace(trace);
-  hw::connect(dev_.port(kTxPort), dev_.port(kRxPort));
-  workload_ = std::make_unique<ClosedLoopWorkload>(eng_, dev_, cfg);
-  if (plan) {
-    injector_.emplace(eng_, *plan);
-    injector_->attach_device(dev_);
-    injector_->arm();
-  }
-}
-
-void ClosedLoopTestbed::run_until(Picos until) {
-  if (!started_) {
-    workload_->start();
-    started_ = true;
-  }
-  eng_.run_until(until);
-}
-
 TcpTrialReport ClosedLoopWorkload::report(Picos window) const {
   TcpTrialReport r;
   r.bytes_acked = total_bytes_acked();
@@ -403,35 +379,6 @@ void ClosedLoopWorkload::add_series_channels(
   series.add_counter("tcp.retransmits", [this] { return total_retransmits(); });
   series.add_counter("tcp.queue_drops", [this] { return source().drops(); });
   series.add_histogram("tcp.rtt.ns", [this] { return rtt_probe().merged(); });
-}
-
-TcpTrialReport run_closed_loop_trial(const WorkloadConfig& cfg,
-                                     Picos duration,
-                                     const fault::FaultPlan* plan,
-                                     telemetry::TraceRecorder* trace,
-                                     Picos series_interval,
-                                     telemetry::SeriesData* series_out) {
-  ClosedLoopTestbed bed(cfg, plan, trace);
-  std::optional<telemetry::TimeSeries> series;
-  if (series_interval > 0 && series_out) {
-    series.emplace(series_interval);
-    const ClosedLoopWorkload& w = bed.workload();
-    w.add_series_channels(*series);
-    series->add_counter("tcp.segs_sent", [&w] {
-      std::uint64_t n = 0;
-      for (std::size_t i = 0; i < w.num_flows(); ++i) {
-        n += w.flow(i).stats().segs_sent;
-      }
-      return n;
-    });
-    series->attach(bed.engine(), duration);
-  }
-  bed.run_until(duration);
-  if (series) {
-    series->finish();
-    *series_out = series->take();
-  }
-  return bed.report(duration);
 }
 
 }  // namespace osnt::tcp

@@ -15,6 +15,10 @@
 // On a mismatch the actual output is written next to the test binary as
 // <name>.{metrics,series}.json.actual; after an intended behaviour
 // change, review the diff and copy those files over the goldens.
+//
+// WheelVsHeap reruns every topology with the engine's timing wheel off
+// (bulk timers through the heap): the kSimOnly metrics and the series
+// must be byte-identical to the wheel-on run (DESIGN.md §12).
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -66,8 +70,9 @@ struct Outputs {
 };
 
 /// Run the trial in a forked child; it sends "metrics\0series" back over
-/// a pipe. An exception in the child comes back as its message.
-Outputs run_isolated(const std::string& name) {
+/// a pipe. An exception in the child comes back as its message. `wheel`
+/// false routes the engine's bulk timers through the heap.
+Outputs run_isolated(const std::string& name, bool wheel = true) {
   int fds[2];
   if (pipe(fds) != 0) throw std::runtime_error("pipe failed");
   const pid_t pid = fork();
@@ -81,12 +86,18 @@ Outputs run_isolated(const std::string& name) {
           graph::TopologyFile::load((kTopologyDir / (name + ".json")).string());
       telemetry::set_enabled(true);
       telemetry::registry().reset();
-      const auto report = graph::run_topology_trial(
-          topo, topo.seed, kDuration, /*plan=*/nullptr, /*trace=*/nullptr,
-          kSeriesInterval);
+      std::string series;
+      {
+        graph::TopologyTrial trial(topo, topo.seed, kDuration,
+                                   /*plan=*/nullptr, /*trace=*/nullptr,
+                                   kSeriesInterval);
+        trial.engine().set_wheel_enabled(wheel);
+        trial.run();
+        series = trial.report().series.to_json();
+      }  // the trial's blocks and flows flush their telemetry here
       out = telemetry::registry().to_json(telemetry::Snapshot::kSimOnly);
       out += '\0';
-      out += report.series.to_json();
+      out += series;
     } catch (const std::exception& e) {
       out = e.what();
       code = 1;
@@ -137,6 +148,20 @@ TEST_P(Golden, KSimOnlyMetricsAndSeriesMatch) {
 }
 
 INSTANTIATE_TEST_SUITE_P(ExampleTopologies, Golden,
+                         ::testing::ValuesIn(example_topologies()),
+                         [](const auto& info) { return info.param; });
+
+class WheelVsHeap : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(WheelVsHeap, KSimOnlyMetricsAndSeriesMatch) {
+  const Outputs wheel = run_isolated(GetParam(), /*wheel=*/true);
+  const Outputs heap = run_isolated(GetParam(), /*wheel=*/false);
+  EXPECT_GT(wheel.metrics.size(), 2u);
+  EXPECT_EQ(wheel.metrics, heap.metrics);
+  EXPECT_EQ(wheel.series, heap.series);
+}
+
+INSTANTIATE_TEST_SUITE_P(ExampleTopologies, WheelVsHeap,
                          ::testing::ValuesIn(example_topologies()),
                          [](const auto& info) { return info.param; });
 

@@ -1,7 +1,8 @@
-// Closed-loop acceptance tests: congestion-controlled flows over the
-// simulated 4-port dataplane with ACKs returning through the reverse
-// link, so injected faults (BER windows) perturb the control loop end to
-// end. Also pins the PR's determinism contract: kSimOnly telemetry
+// Closed-loop acceptance tests: congestion-controlled flows run through
+// the `osnt_run tcp` preset (graph::tcp_preset, one pass-through monitor
+// block between the device ports) with ACKs returning through the
+// reverse link, so injected faults (BER windows) perturb the control loop
+// end to end. Also pins the determinism contract: kSimOnly telemetry
 // snapshots of a sharded tcp trial plan are byte-identical at any --jobs.
 #include <gtest/gtest.h>
 
@@ -9,11 +10,14 @@
 
 #include "osnt/core/runner.hpp"
 #include "osnt/fault/plan.hpp"
+#include "osnt/graph/topology.hpp"
 #include "osnt/tcp/workload.hpp"
 #include "osnt/telemetry/registry.hpp"
 
 namespace osnt::tcp {
 namespace {
+
+using graph::WorkloadSpec;
 
 // Mirrors examples/faults/ber_tcp.json (tests cannot rely on the cwd):
 // a bit-error window in the middle of the run, long and harsh enough at
@@ -26,14 +30,25 @@ constexpr const char* kBerPlanJson = R"({
   ]
 })";
 
-WorkloadConfig base_cfg(const std::string& cc, std::size_t flows) {
-  WorkloadConfig cfg;
-  cfg.cc = cc;
-  cfg.flows = flows;
-  cfg.bottleneck_gbps = 5.0;
-  cfg.queue_segments = 256;
-  cfg.seed = 1;
-  return cfg;
+WorkloadSpec base_spec(const std::string& cc, std::size_t flows) {
+  WorkloadSpec w;
+  w.kind = WorkloadSpec::Kind::kTcp;
+  w.cc = cc;
+  w.flows = flows;
+  w.bottleneck_gbps = 5.0;
+  w.queue_segments = 256;
+  return w;
+}
+
+/// One trial of `w` on the tcp preset; `wheel` false routes the bulk
+/// timers through the heap instead of the timing wheel.
+TcpTrialReport run_trial(const WorkloadSpec& w, Picos duration,
+                         const fault::FaultPlan* plan = nullptr,
+                         std::uint64_t seed = 1, bool wheel = true) {
+  graph::TopologyTrial trial(graph::tcp_preset(w), seed, duration, plan);
+  trial.engine().set_wheel_enabled(wheel);
+  trial.run();
+  return trial.report().tcp;
 }
 
 /// The bottleneck rate is L1 (preamble + IFG included); application
@@ -45,17 +60,17 @@ double payload_share_of(double gbps) {
 
 TEST(TcpClosedLoop, CleanLinkCompletesByteLimitedTransfers) {
   for (const char* cc : {"newreno", "cubic", "bbr"}) {
-    WorkloadConfig cfg = base_cfg(cc, 2);
+    WorkloadSpec cfg = base_spec(cc, 2);
     cfg.bytes_per_flow = std::uint64_t{120} * 1448;
-    const auto r = run_closed_loop_trial(cfg, 20 * kPicosPerMilli);
+    const auto r = run_trial(cfg, 20 * kPicosPerMilli);
     EXPECT_EQ(r.bytes_acked, 2 * cfg.bytes_per_flow) << cc;
     EXPECT_EQ(r.rto_fires, 0u) << cc;
   }
 }
 
 TEST(TcpClosedLoop, BbrDeliveryRateTracksBottleneckWithinTenPercent) {
-  WorkloadConfig cfg = base_cfg("bbr", 1);
-  const auto r = run_closed_loop_trial(cfg, 20 * kPicosPerMilli);
+  const WorkloadSpec cfg = base_spec("bbr", 1);
+  const auto r = run_trial(cfg, 20 * kPicosPerMilli);
   const double expected = payload_share_of(cfg.bottleneck_gbps);
   EXPECT_GE(r.min_flow_rate_bps, 0.9 * expected);
   EXPECT_LE(r.max_flow_rate_bps, 1.1 * expected);
@@ -65,8 +80,8 @@ TEST(TcpClosedLoop, BbrDeliveryRateTracksBottleneckWithinTenPercent) {
 }
 
 TEST(TcpClosedLoop, FlowsShareTheBottleneck) {
-  WorkloadConfig cfg = base_cfg("newreno", 4);
-  const auto r = run_closed_loop_trial(cfg, 20 * kPicosPerMilli);
+  const WorkloadSpec cfg = base_spec("newreno", 4);
+  const auto r = run_trial(cfg, 20 * kPicosPerMilli);
   // Aggregate goodput approaches the pipe; nobody is starved outright.
   EXPECT_GE(r.goodput_bps, 0.6 * payload_share_of(cfg.bottleneck_gbps));
   EXPECT_GT(r.min_flow_rate_bps, 0.0);
@@ -79,8 +94,8 @@ TEST(TcpClosedLoop, BerWindowForcesRetransmissionAndCwndReduction) {
   // reduction reacting to the error window — loss anywhere on the sim
   // path closes the loop.
   const fault::FaultPlan plan = fault::FaultPlan::from_json(kBerPlanJson);
-  WorkloadConfig cfg = base_cfg("bbr", 8);
-  const auto faulted = run_closed_loop_trial(cfg, 20 * kPicosPerMilli, &plan);
+  const WorkloadSpec cfg = base_spec("bbr", 8);
+  const auto faulted = run_trial(cfg, 20 * kPicosPerMilli, &plan);
   EXPECT_GE(faulted.retransmits, 1u);
   EXPECT_GE(faulted.cwnd_reductions, 1u);
   EXPECT_GT(faulted.bytes_acked, 0u);
@@ -92,12 +107,12 @@ TEST(TcpClosedLoop, BerWindowIsTheOnlyLossSourceAtLowFanIn) {
   // buffer can absorb: a single BBR flow is loss-free on a clean link,
   // and every loss signal under the plan is attributable to the window.
   const fault::FaultPlan plan = fault::FaultPlan::from_json(kBerPlanJson);
-  WorkloadConfig cfg = base_cfg("bbr", 1);
-  const auto clean = run_closed_loop_trial(cfg, 20 * kPicosPerMilli);
+  const WorkloadSpec cfg = base_spec("bbr", 1);
+  const auto clean = run_trial(cfg, 20 * kPicosPerMilli);
   EXPECT_EQ(clean.retransmits + clean.rto_fires, 0u);
   EXPECT_EQ(clean.cwnd_reductions, 0u);
 
-  const auto faulted = run_closed_loop_trial(cfg, 20 * kPicosPerMilli, &plan);
+  const auto faulted = run_trial(cfg, 20 * kPicosPerMilli, &plan);
   EXPECT_GE(faulted.retransmits, 1u);
   EXPECT_GE(faulted.cwnd_reductions, 1u);
   EXPECT_LT(faulted.goodput_bps, clean.goodput_bps);
@@ -106,11 +121,11 @@ TEST(TcpClosedLoop, BerWindowIsTheOnlyLossSourceAtLowFanIn) {
 TEST(TcpClosedLoop, EveryControllerRecoversThroughTheBerWindow) {
   const fault::FaultPlan plan = fault::FaultPlan::from_json(kBerPlanJson);
   for (const char* cc : {"newreno", "cubic", "bbr"}) {
-    WorkloadConfig cfg = base_cfg(cc, 4);
+    WorkloadSpec cfg = base_spec(cc, 4);
     // Bound the RTO backoff so a flow silenced inside the 6 ms window is
     // back within a couple of milliseconds of it closing.
     cfg.max_rto = 8 * kPicosPerMilli;
-    const auto r = run_closed_loop_trial(cfg, 30 * kPicosPerMilli, &plan);
+    const auto r = run_trial(cfg, 30 * kPicosPerMilli, &plan);
     EXPECT_GE(r.retransmits, 1u) << cc;
     EXPECT_GE(r.cwnd_reductions, 1u) << cc;
     // Recovery: goodput despite the window (the loop keeps turning).
@@ -121,9 +136,8 @@ TEST(TcpClosedLoop, EveryControllerRecoversThroughTheBerWindow) {
 
 TEST(TcpClosedLoop, ReceiverCountsOutOfOrderSegmentsUnderLoss) {
   const fault::FaultPlan plan = fault::FaultPlan::from_json(kBerPlanJson);
-  WorkloadConfig cfg = base_cfg("newreno", 2);
-  const auto eng_report = run_closed_loop_trial(cfg, 20 * kPicosPerMilli,
-                                                &plan);
+  const WorkloadSpec cfg = base_spec("newreno", 2);
+  const auto eng_report = run_trial(cfg, 20 * kPicosPerMilli, &plan);
   // A dropped data frame makes its successors arrive above rcv_nxt.
   EXPECT_GT(eng_report.retransmits, 0u);
 }
@@ -133,17 +147,19 @@ TEST(TcpClosedLoop, LazyDelayedAckElidesTimerCancels) {
   // cumulative ACK riding on data just clears pending_ack_segs. Every
   // such elision is counted — under steady bidirectional load there must
   // be many, and the engine must see strictly fewer cancels than arms.
-  WorkloadConfig cfg = base_cfg("bbr", 2);
-  ClosedLoopTestbed bed(cfg);
-  bed.run_until(10 * kPicosPerMilli);
-  EXPECT_GT(bed.workload().delack_cancels_saved(), 0u);
-  EXPECT_GT(bed.workload().total_acks_sent(), 0u);
+  const WorkloadSpec cfg = base_spec("bbr", 2);
+  graph::TopologyTrial trial(graph::tcp_preset(cfg), /*trial_seed=*/1,
+                             10 * kPicosPerMilli);
+  trial.run();
+  const ClosedLoopWorkload* w = trial.tcp_workload();
+  ASSERT_NE(w, nullptr);
+  EXPECT_GT(w->delack_cancels_saved(), 0u);
+  EXPECT_GT(w->total_acks_sent(), 0u);
 }
 
 // ------------------------------------------------------- determinism
 
-std::string tcp_sim_snapshot_for_jobs(std::size_t jobs,
-                                      bool wheel_timers = true) {
+std::string tcp_sim_snapshot_for_jobs(std::size_t jobs, bool wheel = true) {
   auto& reg = telemetry::registry();
   reg.reset();
   const fault::FaultPlan plan = fault::FaultPlan::from_json(kBerPlanJson);
@@ -152,11 +168,9 @@ std::string tcp_sim_snapshot_for_jobs(std::size_t jobs,
   for (std::size_t i = 0; i < trial_plan.points.size(); ++i) {
     trial_plan.points[i].seed = 100 + i;
   }
-  trial_plan.run = [&plan, wheel_timers](const core::TrialPoint& pt) {
-    WorkloadConfig cfg = base_cfg(pt.index % 2 == 0 ? "bbr" : "cubic", 2);
-    cfg.seed = pt.seed;
-    cfg.wheel_timers = wheel_timers;
-    const auto r = run_closed_loop_trial(cfg, 5 * kPicosPerMilli, &plan);
+  trial_plan.run = [&plan, wheel](const core::TrialPoint& pt) {
+    const WorkloadSpec cfg = base_spec(pt.index % 2 == 0 ? "bbr" : "cubic", 2);
+    const auto r = run_trial(cfg, 5 * kPicosPerMilli, &plan, pt.seed, wheel);
     core::TrialStats s;
     s.tx_frames = r.segs_sent;
     s.rx_frames = r.acks_sent;
@@ -192,13 +206,10 @@ TEST(TcpClosedLoop, SimSnapshotsByteIdenticalWheelVsHeap) {
 TEST(TcpClosedLoop, TrialReportsIdenticalWheelVsHeap) {
   const fault::FaultPlan plan = fault::FaultPlan::from_json(kBerPlanJson);
   for (const char* cc : {"newreno", "bbr"}) {
-    WorkloadConfig cfg = base_cfg(cc, 4);
-    cfg.seed = 9;
-    WorkloadConfig heap_cfg = cfg;
-    heap_cfg.wheel_timers = false;
-    const auto a = run_closed_loop_trial(cfg, 10 * kPicosPerMilli, &plan);
-    const auto b =
-        run_closed_loop_trial(heap_cfg, 10 * kPicosPerMilli, &plan);
+    const WorkloadSpec cfg = base_spec(cc, 4);
+    const auto a = run_trial(cfg, 10 * kPicosPerMilli, &plan, /*seed=*/9);
+    const auto b = run_trial(cfg, 10 * kPicosPerMilli, &plan, /*seed=*/9,
+                             /*wheel=*/false);
     EXPECT_EQ(a.bytes_acked, b.bytes_acked) << cc;
     EXPECT_EQ(a.segs_sent, b.segs_sent) << cc;
     EXPECT_EQ(a.retransmits, b.retransmits) << cc;
@@ -211,10 +222,9 @@ TEST(TcpClosedLoop, TrialReportsIdenticalWheelVsHeap) {
 
 TEST(TcpClosedLoop, RerunsAreByteIdenticalForFixedSeed) {
   const fault::FaultPlan plan = fault::FaultPlan::from_json(kBerPlanJson);
-  WorkloadConfig cfg = base_cfg("bbr", 3);
-  cfg.seed = 77;
-  const auto a = run_closed_loop_trial(cfg, 10 * kPicosPerMilli, &plan);
-  const auto b = run_closed_loop_trial(cfg, 10 * kPicosPerMilli, &plan);
+  const WorkloadSpec cfg = base_spec("bbr", 3);
+  const auto a = run_trial(cfg, 10 * kPicosPerMilli, &plan, /*seed=*/77);
+  const auto b = run_trial(cfg, 10 * kPicosPerMilli, &plan, /*seed=*/77);
   EXPECT_EQ(a.bytes_acked, b.bytes_acked);
   EXPECT_EQ(a.segs_sent, b.segs_sent);
   EXPECT_EQ(a.retransmits, b.retransmits);
@@ -230,11 +240,11 @@ TEST(TcpMss, MaxMssIsTheLargestSegmentThatDelivers) {
   // byte more builds a 1519 B frame that the MAC drops, so nothing is
   // ever acked; that is why the front-ends reject it.
   EXPECT_EQ(kMaxMss, 1448u);
-  WorkloadConfig cfg = base_cfg("newreno", 1);
+  WorkloadSpec cfg = base_spec("newreno", 1);
   cfg.mss = kMaxMss;
-  EXPECT_GT(run_closed_loop_trial(cfg, kPicosPerMilli).bytes_acked, 0u);
+  EXPECT_GT(run_trial(cfg, kPicosPerMilli).bytes_acked, 0u);
   cfg.mss = kMaxMss + 1;
-  const auto over = run_closed_loop_trial(cfg, kPicosPerMilli);
+  const auto over = run_trial(cfg, kPicosPerMilli);
   EXPECT_GT(over.segs_sent, 0u);
   EXPECT_EQ(over.bytes_acked, 0u);
 }

@@ -226,6 +226,96 @@ TEST(Topology, MssMustFitOneEthernetFrame) {
   EXPECT_EQ(at_bound.workload.mss, tcp::kMaxMss);
 }
 
+TEST(Topology, TcpStanzaReadsRtoClampAndByteLimit) {
+  const auto t = TopologyFile::from_json(R"({
+    "blocks": [{"name": "q", "type": "fifo_queue"}],
+    "workload": {"kind": "tcp", "min_rto_us": 200, "max_rto_ms": 2,
+                 "bytes_per_flow": 173760, "rwnd_kb": 1,
+                 "ingress": "q:0", "egress": "q:0"}
+  })");
+  EXPECT_EQ(t.workload.min_rto, 200 * kPicosPerMicro);
+  EXPECT_EQ(t.workload.max_rto, 2 * kPicosPerMilli);
+  EXPECT_EQ(t.workload.bytes_per_flow, 173760u);
+  EXPECT_EQ(t.workload.rwnd_kb, 1u);
+}
+
+TEST(Topology, TcpStanzaRejectsValuesTheRunCannotUse) {
+  const auto tcp = [](const std::string& fields) {
+    return load_error(R"({
+      "blocks": [{"name": "q", "type": "fifo_queue"}],
+      "workload": {"kind": "tcp", )" + fields + R"(,
+                   "ingress": "q:0", "egress": "q:0"}
+    })");
+  };
+  // A zero window sends nothing; the error points at the value.
+  const std::string rwnd = tcp(R"("rwnd_kb": 0)");
+  expect_contains(rwnd, "'rwnd_kb' must be in [1, ");
+  expect_contains(rwnd, "(line 3 column ");
+  // rwnd_kb scales to bytes, so a value that would wrap is refused.
+  expect_contains(tcp(R"("rwnd_kb": 18014398509481984)"), "'rwnd_kb'");
+  expect_contains(tcp(R"("min_rto_ms": 0)"), "'min_rto' must be positive");
+  expect_contains(tcp(R"("min_rto_ms": 3, "max_rto_ms": 2)"),
+                  "'min_rto' must not exceed 'max_rto'");
+  expect_contains(tcp(R"("min_rto_ms": -1)"), "'min_rto' out of range");
+  // More flows than the addressing scheme holds fail at load, not in
+  // the run, so --validate-only agrees with the run.
+  expect_contains(tcp(R"("flows": 2097153)"),
+                  "'flows' must be in [1, 2097152]");
+  expect_contains(tcp(R"("flows": 0)"), "'flows' must be in [1, 2097152]");
+}
+
+TEST(Topology, TcpPresetIsOneMonitorCable) {
+  graph::WorkloadSpec w;
+  w.kind = graph::WorkloadSpec::Kind::kTcp;
+  w.flows = 2;
+  const TopologyFile t = graph::tcp_preset(w);
+  ASSERT_EQ(t.blocks.size(), 1u);
+  EXPECT_EQ(t.blocks[0].name, "cable");
+  EXPECT_EQ(t.blocks[0].type, "monitor");
+  EXPECT_TRUE(t.edges.empty());
+  EXPECT_EQ(t.workload.ingress.block, "cable");
+  EXPECT_EQ(t.workload.egress.block, "cable");
+  EXPECT_FALSE(t.workload.ack_ingress.has_value());
+
+  // Data segments cross the cable, which passes every one on; ACKs take
+  // the direct reverse cable and never reach it.
+  const auto r = graph::run_topology_trial(t, /*trial_seed=*/1,
+                                           2 * kPicosPerMilli);
+  EXPECT_GT(r.tcp.bytes_acked, 0u);
+  ASSERT_EQ(r.blocks.size(), 1u);
+  EXPECT_GT(r.blocks[0].frames_in, 0u);
+  EXPECT_LE(r.blocks[0].frames_in, r.tcp.segs_sent);
+  EXPECT_EQ(r.blocks[0].frames_out, r.blocks[0].frames_in);
+  EXPECT_EQ(r.graph_drops, 0u);
+}
+
+TEST(Topology, TcpPresetChecksTheStanzaLikeAFile) {
+  const auto preset_error = [](graph::WorkloadSpec w) {
+    w.kind = graph::WorkloadSpec::Kind::kTcp;
+    try {
+      (void)graph::tcp_preset(w);
+    } catch (const graph::TopologyError& e) {
+      return std::string(e.what());
+    }
+    ADD_FAILURE() << "expected TopologyError, preset built fine";
+    return std::string();
+  };
+  graph::WorkloadSpec w;
+  w.cc = "neweno";
+  expect_contains(preset_error(w),
+                  "unknown cc 'neweno' (did you mean 'newreno'?)");
+  w = {};
+  w.bottleneck_gbps = -1;
+  expect_contains(preset_error(w), "'bottleneck_gbps' must not be negative");
+  w = {};
+  w.flows = tcp::kMaxFlows + 1;
+  expect_contains(preset_error(w), "'flows' must be in [1, 2097152]");
+  w = {};
+  w.min_rto = 2 * kPicosPerMilli;
+  w.max_rto = kPicosPerMilli;
+  expect_contains(preset_error(w), "'min_rto' must not exceed 'max_rto'");
+}
+
 TEST(Topology, DanglingEdgeIsAnError) {
   const std::string msg = load_error(R"({
     "name": "t",

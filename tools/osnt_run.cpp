@@ -3,7 +3,7 @@
 // builds a simulated testbed and runs one measurement; `osnt_run <cmd>
 // --help` lists its flags.
 //
-// Global flags (any subcommand): --log-level debug|info|warn|error|off.
+// Global flags (any subcommand): --log-level LEVEL, one of kLogLevels.
 // latency, throughput, capture, tcp and topo take --trace PATH and
 // --metrics-out PATH: --trace writes a Chrome trace_event JSON of the run
 // in *sim* time (open in Perfetto / chrome://tracing); --metrics-out
@@ -14,7 +14,9 @@
 // RTT-histogram slices and writes one "osnt.series.v1" JSON,
 // byte-identical at any --jobs value (per-trial series merge
 // commutatively). A topology's traffic comes from its workload stanza
-// (tcp or cbr through the device ports) and from burst_source blocks.
+// (tcp or cbr through the device ports) and from burst_source blocks;
+// `tcp` is a preset that generates a one-block topology from its flags,
+// so tcp and topo trials run through the same graph::TopologyTrial.
 // --faults loads a deterministic fault plan (see examples/faults/) and
 // injects it into the testbed; fault activations show up as a "fault/*"
 // trace track and in the fault.* metric family.
@@ -107,6 +109,15 @@ struct ObservabilityFlags {
     return true;
   }
 
+  /// Merge per-trial series in plan order and write them. Element-wise
+  /// sums commute, so the bytes are identical at any --jobs value.
+  [[nodiscard]] bool write_series(
+      const std::vector<graph::TopologyTrialReport>& reports) {
+    telemetry::SeriesData merged;
+    for (const auto& rep : reports) merged.merge_from(rep.series);
+    return write_series(merged);
+  }
+
   /// Write the merged series (no-op when --series-out was not given).
   [[nodiscard]] bool write_series(const telemetry::SeriesData& s) {
     if (series_path.empty()) return true;
@@ -185,6 +196,52 @@ void print_rate_limit_detector(const tcp::TcpTrialReport& rep,
               indent, static_cast<unsigned long long>(rep.rld_detections),
               rep.rld_rate_bps / 1e9,
               static_cast<double>(rep.rld_detect_time) / kPicosPerMicro);
+}
+
+/// Names of a {name, ...} table's rows, in table order.
+template <class Table>
+std::vector<std::string> names_of(const Table& table) {
+  std::vector<std::string> names;
+  for (const auto& row : table) names.emplace_back(row.name);
+  return names;
+}
+
+std::string join(const std::vector<std::string>& names, const char* sep) {
+  std::string out;
+  for (const auto& n : names) out += (out.empty() ? "" : sep) + n;
+  return out;
+}
+
+/// False, after naming `flag` on stderr, when `v` is negative.
+bool non_negative(const char* flag, double v) {
+  if (v >= 0) return true;
+  std::fprintf(stderr, "--%s must not be negative\n", flag);
+  return false;
+}
+
+/// Run one trial of `topo` per `reports` slot, at seeds base_seed + i,
+/// sharded over the runner pool; reports land in plan order at any --jobs.
+std::vector<core::TrialResult> run_topology(
+    const graph::TopologyFile& topo, std::uint64_t base_seed, Picos duration,
+    const fault::FaultPlan& fplan, std::int64_t jobs, ObservabilityFlags& obs,
+    std::vector<graph::TopologyTrialReport>& reports) {
+  core::TrialPlan plan;
+  plan.points.resize(reports.size());
+  for (std::size_t i = 0; i < plan.points.size(); ++i) {
+    plan.points[i].seed = base_seed + i;
+  }
+  plan.run = [&](const core::TrialPoint& pt) {
+    graph::TopologyTrial trial(topo, pt.seed, duration, &fplan,
+                               obs.trace_enabled() ? &obs.rec : nullptr,
+                               obs.series_interval());
+    obs.attach(trial.engine());
+    trial.run();
+    reports[pt.index] = trial.report();
+    return core::TrialStats{};  // the callers print from the reports
+  };
+  core::RunnerConfig rcfg;
+  rcfg.jobs = static_cast<std::size_t>(jobs);
+  return core::Runner{rcfg}.run_resilient(plan);
 }
 
 /// Wire OSNT port 0 → DUT → OSNT port 1 (or back-to-back for "none").
@@ -444,14 +501,52 @@ int cmd_capture(int argc, const char* const* argv) {
   return obs.finish() ? 0 : 1;
 }
 
+/// The oflops --module choices: each row builds its module from the
+/// --table-size and --rounds flags.
+using ModulePtr = std::unique_ptr<oflops::MeasurementModule>;
+struct OflopsModule {
+  const char* name;
+  ModulePtr (*make)(std::size_t table_size, std::size_t rounds);
+};
+
+template <class Module>
+ModulePtr make_module(std::size_t, std::size_t) {
+  return std::make_unique<Module>();
+}
+
+constexpr OflopsModule kOflopsModules[] = {
+    {"echo", make_module<oflops::EchoRttModule>},
+    {"packet_in", make_module<oflops::PacketInLatencyModule>},
+    {"flowmod",
+     [](std::size_t table_size, std::size_t rounds) -> ModulePtr {
+       oflops::FlowModLatencyConfig cfg;
+       cfg.table_size = table_size;
+       cfg.rounds = rounds;
+       return std::make_unique<oflops::FlowModLatencyModule>(cfg);
+     }},
+    {"consistency",
+     [](std::size_t table_size, std::size_t) -> ModulePtr {
+       oflops::ConsistencyConfig cfg;
+       cfg.rule_count = table_size;
+       return std::make_unique<oflops::ConsistencyModule>(cfg);
+     }},
+    {"stats_poll",
+     [](std::size_t table_size, std::size_t) -> ModulePtr {
+       oflops::StatsPollConfig cfg;
+       cfg.table_size = table_size;
+       return std::make_unique<oflops::StatsPollModule>(cfg);
+     }},
+    {"queue_delay", make_module<oflops::QueueDelayModule>},
+    {"interaction", make_module<oflops::InteractionModule>},
+};
+
 int cmd_oflops(int argc, const char* const* argv) {
   std::string module = "flowmod";
   std::int64_t table_size = 128, rounds = 10;
   std::string faults_path;
   CliParser cli{
       "osnt_run oflops — OFLOPS-turbo module against an OpenFlow switch"};
-  cli.add_flag("module", &module,
-               "echo|packet_in|flowmod|consistency|stats_poll|queue_delay|interaction");
+  cli.add_flag("module", &module, join(names_of(kOflopsModules), "|"));
   cli.add_flag("table-size", &table_size, "flow table occupancy");
   cli.add_flag("rounds", &rounds, "measurement rounds (flowmod)");
   cli.add_flag("faults", &faults_path,
@@ -478,34 +573,16 @@ int cmd_oflops(int argc, const char* const* argv) {
     }
   }
 
-  std::unique_ptr<oflops::MeasurementModule> mod;
-  if (module == "echo") {
-    mod = std::make_unique<oflops::EchoRttModule>();
-  } else if (module == "packet_in") {
-    mod = std::make_unique<oflops::PacketInLatencyModule>();
-  } else if (module == "flowmod") {
-    oflops::FlowModLatencyConfig cfg;
-    cfg.table_size = static_cast<std::size_t>(table_size);
-    cfg.rounds = static_cast<std::size_t>(rounds);
-    mod = std::make_unique<oflops::FlowModLatencyModule>(cfg);
-  } else if (module == "consistency") {
-    oflops::ConsistencyConfig cfg;
-    cfg.rule_count = static_cast<std::size_t>(table_size);
-    mod = std::make_unique<oflops::ConsistencyModule>(cfg);
-  } else if (module == "stats_poll") {
-    oflops::StatsPollConfig cfg;
-    cfg.table_size = static_cast<std::size_t>(table_size);
-    mod = std::make_unique<oflops::StatsPollModule>(cfg);
-  } else if (module == "queue_delay") {
-    mod = std::make_unique<oflops::QueueDelayModule>();
-  } else if (module == "interaction") {
-    mod = std::make_unique<oflops::InteractionModule>();
-  } else {
-    std::fprintf(stderr, "unknown module '%s'\n", module.c_str());
-    return 1;
+  for (const OflopsModule& m : kOflopsModules) {
+    if (module != m.name) continue;
+    const auto mod = m.make(static_cast<std::size_t>(table_size),
+                            static_cast<std::size_t>(rounds));
+    tb.ctx.run(*mod, 600 * kPicosPerSec).print();
+    return 0;
   }
-  tb.ctx.run(*mod, 600 * kPicosPerSec).print();
-  return 0;
+  std::fprintf(stderr, "unknown module '%s'%s\n", module.c_str(),
+               did_you_mean(module, names_of(kOflopsModules)).c_str());
+  return 1;
 }
 
 int cmd_tcp(int argc, const char* const* argv) {
@@ -547,49 +624,47 @@ int cmd_tcp(int argc, const char* const* argv) {
     std::fprintf(stderr, "--mss must be in [1, %u]\n", tcp::kMaxMss);
     return 1;
   }
+  if (rwnd_kb <= 0) {
+    std::fprintf(stderr, "--rwnd-kb must be positive\n");
+    return 1;
+  }
+  if (!non_negative("bottleneck-gbps", bottleneck_gbps) ||
+      !non_negative("queue-segments", static_cast<double>(queue_segments)) ||
+      !non_negative("seed", static_cast<double>(seed)) ||
+      !non_negative("duration-ms", duration_ms) ||
+      !non_negative("jobs", static_cast<double>(jobs))) {
+    return 1;
+  }
   if (!obs.validate(trials, jobs)) return 1;
+
+  // The flags fill a tcp workload stanza; the preset puts it on one
+  // pass-through monitor block and checks it like a topology file.
+  graph::WorkloadSpec w;
+  w.kind = graph::WorkloadSpec::Kind::kTcp;
+  w.flows = static_cast<std::size_t>(flows);
+  w.cc = cc;
+  w.mss = static_cast<std::uint32_t>(mss);
+  w.bottleneck_gbps = bottleneck_gbps;
+  w.queue_segments = static_cast<std::size_t>(queue_segments);
+  w.rwnd_kb = static_cast<std::uint64_t>(rwnd_kb);
+  w.rate_limit_detector = rate_limit_detector;
+  graph::TopologyFile topo;
+  try {
+    topo = graph::tcp_preset(std::move(w));
+  } catch (const graph::TopologyError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 1;
+  }
+  topo.duration = from_micros(duration_ms * 1000.0);
 
   fault::FaultPlan fplan;
   if (!load_fault_plan(faults_path, fplan)) return 1;
 
-  tcp::WorkloadConfig base;
-  base.flows = static_cast<std::size_t>(flows);
-  base.cc = cc;
-  base.mss = static_cast<std::uint32_t>(mss);
-  base.bottleneck_gbps = bottleneck_gbps;
-  base.queue_segments = static_cast<std::size_t>(queue_segments);
-  base.rwnd_bytes = static_cast<std::uint64_t>(rwnd_kb) * 1024;
-  base.rate_limit_detector = rate_limit_detector;
-  const Picos duration = from_micros(duration_ms * 1000.0);
-
-  // One trial = one fresh closed-loop testbed; trials shard across the
-  // runner pool and reports come back in plan order at any --jobs.
-  std::vector<tcp::TcpTrialReport> reports(
+  std::vector<graph::TopologyTrialReport> reports(
       static_cast<std::size_t>(trials));
-  std::vector<telemetry::SeriesData> series(static_cast<std::size_t>(trials));
-  core::TrialPlan plan;
-  plan.points.resize(static_cast<std::size_t>(trials));
-  for (std::size_t i = 0; i < plan.points.size(); ++i) {
-    plan.points[i].seed = static_cast<std::uint64_t>(seed) + i;
-  }
-  plan.run = [&](const core::TrialPoint& pt) {
-    tcp::WorkloadConfig cfg = base;
-    cfg.seed = pt.seed;
-    const auto rep = tcp::run_closed_loop_trial(
-        cfg, duration, fplan.events.empty() ? nullptr : &fplan,
-        obs.trace_enabled() ? &obs.rec : nullptr, obs.series_interval(),
-        obs.series_enabled() ? &series[pt.index] : nullptr);
-    reports[pt.index] = rep;
-    core::TrialStats s;
-    s.tx_frames = rep.segs_sent;
-    s.rx_frames = rep.acks_sent;
-    s.metric = rep.goodput_bps;
-    return s;
-  };
-
-  core::RunnerConfig rcfg;
-  rcfg.jobs = static_cast<std::size_t>(jobs < 0 ? 0 : jobs);
-  const auto outcomes = core::Runner{rcfg}.run_resilient(plan);
+  const auto outcomes =
+      run_topology(topo, static_cast<std::uint64_t>(seed), topo.duration,
+                   fplan, jobs, obs, reports);
 
   std::printf("%5s %6s %10s %8s %8s %8s %8s %8s\n", "trial", "seed",
               "goodput", "segs", "retx", "rto", "fastrtx", "drops");
@@ -600,7 +675,7 @@ int cmd_tcp(int argc, const char* const* argv) {
       rc = 1;
       continue;
     }
-    const auto& rep = reports[i];
+    const tcp::TcpTrialReport& rep = reports[i].tcp;
     std::printf("%5zu %6llu %7.3f Gb %8llu %8llu %8llu %8llu %8llu\n", i,
                 static_cast<unsigned long long>(tr.seed_used),
                 rep.goodput_bps / 1e9,
@@ -611,7 +686,7 @@ int cmd_tcp(int argc, const char* const* argv) {
                 static_cast<unsigned long long>(rep.queue_drops));
   }
   if (trials == 1 && outcomes.front().ok()) {
-    const auto& rep = reports.front();
+    const tcp::TcpTrialReport& rep = reports.front().tcp;
     std::printf("cc %s  flows %lld  cwnd reductions %llu  acks %llu  "
                 "flow rate min %.3f / max %.3f Gb/s\n",
                 cc.c_str(), static_cast<long long>(flows),
@@ -620,13 +695,7 @@ int cmd_tcp(int argc, const char* const* argv) {
                 rep.min_flow_rate_bps / 1e9, rep.max_flow_rate_bps / 1e9);
     print_rate_limit_detector(rep, "");
   }
-  if (obs.series_enabled() && rc == 0) {
-    // Merge in plan order: element-wise sums commute, so the bytes are
-    // identical at any --jobs value.
-    telemetry::SeriesData merged;
-    for (const auto& s : series) merged.merge_from(s);
-    if (!obs.write_series(merged)) rc = 1;
-  }
+  if (rc == 0 && !obs.write_series(reports)) rc = 1;
   if (!obs.finish()) rc = 1;
   return rc;
 }
@@ -637,15 +706,9 @@ int cmd_topo(int argc, const char* const* argv) {
   bool validate_only = false;
   std::string faults_path;
   ObservabilityFlags obs;
-  std::string about =
-      "osnt_run topo FILE.json — run a declarative scenario-graph topology\n"
-      "(see examples/topologies/)\nblocks:";
-  const char* sep = " ";
-  for (const auto& type : graph::TopologyFile::known_types()) {
-    about += sep + type;
-    sep = ", ";
-  }
-  CliParser cli{about};
+  CliParser cli{"osnt_run topo FILE.json — run a declarative scenario-graph "
+                "topology\n(see examples/topologies/)\nblocks: " +
+                join(graph::TopologyFile::known_types(), ", ")};
   cli.add_flag("seed", &seed, "base seed (0 = the file's; trial i adds i)");
   cli.add_flag("duration-ms", &duration_ms,
                "simulated duration (0 = the file's)");
@@ -668,6 +731,11 @@ int cmd_topo(int argc, const char* const* argv) {
     std::fprintf(stderr, "--trials must be positive\n");
     return 1;
   }
+  if (!non_negative("seed", static_cast<double>(seed)) ||
+      !non_negative("duration-ms", duration_ms) ||
+      !non_negative("jobs", static_cast<double>(jobs))) {
+    return 1;
+  }
   if (!obs.validate(trials, jobs)) return 1;
 
   graph::TopologyFile topo;
@@ -685,13 +753,14 @@ int cmd_topo(int argc, const char* const* argv) {
   fault::FaultPlan fplan;
   if (!load_fault_plan(faults_path, fplan)) return 1;
 
+  const auto kind = topo.workload.kind;
   std::printf("topology %s: %zu blocks, %zu edges, workload %s\n",
               topo.name.empty() ? cli.positional()[0].c_str()
                                 : topo.name.c_str(),
               topo.blocks.size(), topo.edges.size(),
-              topo.workload.kind == graph::WorkloadSpec::Kind::kTcp   ? "tcp"
-              : topo.workload.kind == graph::WorkloadSpec::Kind::kCbr ? "cbr"
-                                                                      : "none");
+              kind == graph::WorkloadSpec::Kind::kTcp   ? "tcp"
+              : kind == graph::WorkloadSpec::Kind::kCbr ? "cbr"
+                                                        : "none");
 
   if (validate_only) {
     // Dry run: the file already parsed, wired and passed its workload
@@ -723,28 +792,8 @@ int cmd_topo(int argc, const char* const* argv) {
 
   std::vector<graph::TopologyTrialReport> reports(
       static_cast<std::size_t>(trials));
-  core::TrialPlan plan;
-  plan.points.resize(static_cast<std::size_t>(trials));
-  for (std::size_t i = 0; i < plan.points.size(); ++i) {
-    plan.points[i].seed = base_seed + i;
-  }
-  plan.run = [&](const core::TrialPoint& pt) {
-    const auto rep = graph::run_topology_trial(
-        topo, pt.seed, duration, fplan.events.empty() ? nullptr : &fplan,
-        obs.trace_enabled() ? &obs.rec : nullptr, obs.series_interval());
-    reports[pt.index] = rep;
-    core::TrialStats s;
-    s.tx_frames = rep.graph_frames_in;
-    s.rx_frames = rep.graph_frames_in - rep.graph_drops;
-    if (topo.workload.kind == graph::WorkloadSpec::Kind::kTcp) {
-      s.metric = rep.tcp.goodput_bps;
-    }
-    return s;
-  };
-
-  core::RunnerConfig rcfg;
-  rcfg.jobs = static_cast<std::size_t>(jobs < 0 ? 0 : jobs);
-  const auto outcomes = core::Runner{rcfg}.run_resilient(plan);
+  const auto outcomes =
+      run_topology(topo, base_seed, duration, fplan, jobs, obs, reports);
 
   int rc = 0;
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
@@ -754,7 +803,7 @@ int cmd_topo(int argc, const char* const* argv) {
       continue;
     }
     const auto& rep = reports[i];
-    if (topo.workload.kind == graph::WorkloadSpec::Kind::kTcp) {
+    if (kind == graph::WorkloadSpec::Kind::kTcp) {
       std::printf(
           "trial %zu seed %llu: goodput %.3f Gb/s  segs %llu  retx %llu  "
           "graph drops %llu\n",
@@ -769,7 +818,7 @@ int cmd_topo(int argc, const char* const* argv) {
                     rep.tcp.rtt_p99_ns / rep.tcp.rtt_min_ns);
       }
       print_rate_limit_detector(rep.tcp, "  ");
-    } else if (topo.workload.kind == graph::WorkloadSpec::Kind::kCbr) {
+    } else if (kind == graph::WorkloadSpec::Kind::kCbr) {
       std::printf(
           "trial %zu seed %llu: tx %llu  rx %llu  loss %.4f%%  "
           "graph drops %llu\n",
@@ -784,7 +833,7 @@ int cmd_topo(int argc, const char* const* argv) {
                   static_cast<unsigned long long>(rep.graph_frames_in));
     }
   }
-  if (rc == 0 && !reports.empty()) {
+  if (rc == 0) {
     std::printf("%-16s %12s %12s %10s %9s %9s %9s\n", "block", "frames_in",
                 "frames_out", "drops", "rtt_p50", "rtt_p90", "rtt_p99");
     for (const auto& b : reports.front().blocks) {
@@ -799,11 +848,7 @@ int cmd_topo(int argc, const char* const* argv) {
         std::printf(" %9s %9s %9s\n", "-", "-", "-");
       }
     }
-  }
-  if (obs.series_enabled() && rc == 0) {
-    telemetry::SeriesData merged;
-    for (const auto& rep : reports) merged.merge_from(rep.series);
-    if (!obs.write_series(merged)) rc = 1;
+    if (!obs.write_series(reports)) rc = 1;
   }
   if (!obs.finish()) rc = 1;
   return rc;
@@ -845,21 +890,27 @@ int cmd_fleet(int argc, const char* const* argv) {
   return 0;
 }
 
+/// The --log-level choices, in order of increasing severity.
+constexpr struct {
+  const char* name;
+  LogLevel level;
+} kLogLevels[] = {{"debug", LogLevel::kDebug},
+                  {"info", LogLevel::kInfo},
+                  {"warn", LogLevel::kWarn},
+                  {"error", LogLevel::kError},
+                  {"off", LogLevel::kOff}};
+
 /// Global --log-level handling: accepted anywhere on the command line,
 /// stripped before subcommand parsing. Returns false on a bad level name.
 bool apply_log_level(const std::string& name) {
-  if (name == "debug") set_log_level(LogLevel::kDebug);
-  else if (name == "info") set_log_level(LogLevel::kInfo);
-  else if (name == "warn") set_log_level(LogLevel::kWarn);
-  else if (name == "error") set_log_level(LogLevel::kError);
-  else if (name == "off") set_log_level(LogLevel::kOff);
-  else {
-    std::fprintf(stderr,
-                 "bad --log-level '%s' (debug|info|warn|error|off)\n",
-                 name.c_str());
-    return false;
+  for (const auto& l : kLogLevels) {
+    if (name != l.name) continue;
+    set_log_level(l.level);
+    return true;
   }
-  return true;
+  std::fprintf(stderr, "bad --log-level '%s' (%s)\n", name.c_str(),
+               join(names_of(kLogLevels), "|").c_str());
+  return false;
 }
 
 }  // namespace
@@ -890,16 +941,11 @@ int main(int argc, char** argv) {
                    {"topo", cmd_topo},       {"oflops", cmd_oflops},
                    {"fleet", cmd_fleet}};
   if (args.size() < 2) {
-    std::string names;
-    for (const auto& c : kCommands) {
-      if (!names.empty()) names += '|';
-      names += c.name;
-    }
     std::fprintf(stderr,
-                 "usage: osnt_run <%s> [flags] [--log-level "
-                 "debug|info|warn|error|off]\n"
+                 "usage: osnt_run <%s> [flags] [--log-level %s]\n"
                  "       osnt_run <cmd> --help\n",
-                 names.c_str());
+                 join(names_of(kCommands), "|").c_str(),
+                 join(names_of(kLogLevels), "|").c_str());
     return 1;
   }
   const std::string cmd = args[1];
