@@ -1,7 +1,9 @@
 // Packet cutting ("thinning") + hashing — the monitor's bandwidth-saving
 // stage. Truncates each captured frame to a snap length before it crosses
 // the loss-limited DMA path, and computes a hash of the *full* frame so
-// cut captures can still be matched/deduplicated.
+// cut captures can still be matched/deduplicated. A frame the cutter keeps
+// whole is moved into the result, not copied; a cut frame copies only the
+// snapped prefix, so the result never holds a full-frame buffer.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +31,11 @@ class PacketCutter {
 
   explicit PacketCutter(Config cfg = Config()) noexcept : cfg_(cfg) {}
 
+  /// Cut and hash a frame the caller keeps (copies the kept bytes).
   [[nodiscard]] CutResult process(ByteSpan frame) const;
+  /// Cut and hash a frame the caller is done with: when nothing is cut
+  /// its buffer moves into the result.
+  [[nodiscard]] CutResult process(Bytes&& frame) const;
 
   [[nodiscard]] const Config& config() const noexcept { return cfg_; }
   void set_snap_len(std::size_t snap) noexcept { cfg_.snap_len = snap; }

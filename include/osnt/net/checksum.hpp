@@ -11,6 +11,8 @@ namespace osnt::net {
 /// Incremental ones-complement sum; fold() yields the 16-bit checksum.
 class InternetChecksum {
  public:
+  /// Add a run of big-endian 16-bit words; an odd trailing byte is
+  /// zero-padded within this call, not joined to the next one.
   void add(ByteSpan data) noexcept;
   void add_u16(std::uint16_t v) noexcept { sum_ += v; }
   void add_u32(std::uint32_t v) noexcept {

@@ -100,7 +100,8 @@ void RxPipeline::on_frame(net::Packet pkt, Picos first_bit, Picos last_bit) {
     return;
   }
 
-  CutResult cut = cutter_.process(pkt.bytes());
+  // Last read of `pkt`: a frame kept whole moves into the record.
+  CutResult cut = cutter_.process(std::move(pkt.data));
   CaptureRecord rec;
   rec.data = std::move(cut.data);
   rec.ts = ts;

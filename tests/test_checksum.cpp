@@ -1,6 +1,9 @@
 // RFC 1071 checksum properties and known vectors.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "osnt/common/random.hpp"
 #include "osnt/net/builder.hpp"
 #include "osnt/net/checksum.hpp"
@@ -80,6 +83,117 @@ TEST(InternetChecksum, AddU32MatchesBytes) {
   InternetChecksum b;
   b.add(ByteSpan{bytes, 4});
   EXPECT_EQ(a.fold(), b.fold());
+}
+
+// ------------------------- word-wide kernel vs a 16-bit-serial reference
+
+/// RFC 1071 as written: big-endian 16-bit words summed one at a time,
+/// an odd trailing byte padded with zero on its right.
+std::uint64_t serial_sum(ByteSpan data) {
+  std::uint64_t s = 0;
+  std::size_t i = 0;
+  for (; i + 1 < data.size(); i += 2)
+    s += (std::uint64_t{data[i]} << 8) | data[i + 1];
+  if (i < data.size()) s += std::uint64_t{data[i]} << 8;
+  return s;
+}
+
+std::uint16_t serial_fold(std::uint64_t s) {
+  while (s >> 16) s = (s & 0xFFFF) + (s >> 16);
+  return static_cast<std::uint16_t>(~s & 0xFFFF);
+}
+
+std::uint16_t serial_l4_v4(Ipv4Addr src, Ipv4Addr dst, std::uint8_t proto,
+                           ByteSpan l4) {
+  return serial_fold((src.v >> 16) + (src.v & 0xFFFF) + (dst.v >> 16) +
+                     (dst.v & 0xFFFF) + proto + l4.size() + serial_sum(l4));
+}
+
+std::uint16_t serial_l4_v6(const Ipv6Addr& src, const Ipv6Addr& dst,
+                           std::uint8_t next, ByteSpan l4) {
+  return serial_fold(serial_sum(ByteSpan{src.b.data(), src.b.size()}) +
+                     serial_sum(ByteSpan{dst.b.data(), dst.b.size()}) +
+                     (l4.size() >> 16) + (l4.size() & 0xFFFF) + next +
+                     serial_sum(l4));
+}
+
+constexpr std::size_t kMaxKernelLen = 1600;
+
+Bytes random_bytes(std::size_t n, std::uint64_t seed) {
+  Rng rng{seed};
+  Bytes out(n);
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng());
+  return out;
+}
+
+/// Every length 0..1600 of `content`, copied to each start offset 0..7 of
+/// a larger buffer so the eight-byte loads run at every alignment.
+void expect_all_lengths_and_offsets_match(const Bytes& content) {
+  const Ipv4Addr s4 = Ipv4Addr::of(192, 168, 7, 1), d4 = Ipv4Addr::of(10, 255, 0, 9);
+  Ipv6Addr s6, d6;
+  for (std::size_t i = 0; i < 16; ++i) {
+    s6.b[i] = static_cast<std::uint8_t>(0xF0 + i);
+    d6.b[i] = static_cast<std::uint8_t>(i * 17);
+  }
+  Bytes buf(kMaxKernelLen + 8);
+  for (std::size_t len = 0; len <= kMaxKernelLen; ++len) {
+    const ByteSpan ref{content.data(), len};
+    const std::uint16_t want = serial_fold(serial_sum(ref));
+    const std::uint16_t want4 = serial_l4_v4(s4, d4, ipproto::kTcp, ref);
+    const std::uint16_t want6 = serial_l4_v6(s6, d6, ipproto::kUdp, ref);
+    for (std::size_t off = 0; off < 8; ++off) {
+      std::copy_n(content.begin(), len, buf.begin() + static_cast<long>(off));
+      const ByteSpan at{buf.data() + off, len};
+      ASSERT_EQ(internet_checksum(at), want) << "len " << len << " off " << off;
+      ASSERT_EQ(l4_checksum_v4(s4, d4, ipproto::kTcp, at), want4)
+          << "len " << len << " off " << off;
+      ASSERT_EQ(l4_checksum_v6(s6, d6, ipproto::kUdp, at), want6)
+          << "len " << len << " off " << off;
+    }
+  }
+}
+
+TEST(InternetChecksum, EveryLengthAndOffsetMatchesSerial) {
+  expect_all_lengths_and_offsets_match(random_bytes(kMaxKernelLen, 31));
+}
+
+TEST(InternetChecksum, AllZeroAndAllOnesMatchSerial) {
+  // The fold edge: an all-0x00 run sums to 0 and an all-0xFF run to a
+  // nonzero multiple of 0xFFFF; the two must stay distinct.
+  expect_all_lengths_and_offsets_match(Bytes(kMaxKernelLen, 0x00));
+  expect_all_lengths_and_offsets_match(Bytes(kMaxKernelLen, 0xFF));
+  EXPECT_EQ(internet_checksum({}), 0xFFFF);
+  const Bytes ones(64, 0xFF);
+  EXPECT_EQ(internet_checksum(ByteSpan{ones.data(), ones.size()}), 0x0000);
+}
+
+TEST(InternetChecksum, RandomOddChunkSplitsMatchSerial) {
+  // Each add() pads its own odd tail, so the reference sums chunk by
+  // chunk. Constant buffers are split too, for the 0/0xFFFF edge.
+  const std::vector<Bytes> sources = {random_bytes(kMaxKernelLen, 37),
+                                      Bytes(kMaxKernelLen, 0x00),
+                                      Bytes(kMaxKernelLen, 0xFF)};
+  Rng rng{41};
+  for (int trial = 0; trial < 300; ++trial) {
+    const Bytes& data = sources[static_cast<std::size_t>(trial) % sources.size()];
+    const std::size_t len = rng.uniform_int(0, kMaxKernelLen);
+    InternetChecksum inc;
+    std::uint64_t want = 0;
+    for (std::size_t at = 0; at < len;) {
+      const std::size_t chunk = std::min<std::size_t>(
+          2 * rng.uniform_int(0, 20) + 1, len - at);  // odd lengths
+      const ByteSpan part{data.data() + at, chunk};
+      inc.add(part);
+      want += serial_sum(part);
+      if (rng.uniform_int(0, 3) == 0) {
+        const auto v = static_cast<std::uint16_t>(rng());
+        inc.add_u16(v);
+        want += v;
+      }
+      at += chunk;
+    }
+    ASSERT_EQ(inc.fold(), serial_fold(want)) << "trial " << trial;
+  }
 }
 
 // ----------------------------------- TCP/IPv4 frames with header options

@@ -1,5 +1,11 @@
-// CLI flag parser.
+// CLI flag parser, and the osnt_run flag checks that use it.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+
+#include <array>
+#include <cstdio>
+#include <ostream>
+#include <string>
 
 #include "osnt/common/cli.hpp"
 
@@ -126,6 +132,73 @@ TEST(Cli, UsageListsFlagsAndDefaults) {
   EXPECT_NE(u.find("--rate"), std::string::npos);
   EXPECT_NE(u.find("2.5"), std::string::npos);
   EXPECT_NE(u.find("--help"), std::string::npos);
+}
+
+// ------------------------------------------------ osnt_run flag checks
+
+struct RunResult {
+  int exit_code = -1;
+  std::string output;  ///< stdout and stderr
+};
+
+RunResult run_osnt(const std::string& args) {
+  RunResult r;
+  const std::string cmd = std::string(OSNT_RUN_PATH) + " " + args + " 2>&1";
+  FILE* pipe = popen(cmd.c_str(), "r");
+  if (pipe == nullptr) return r;
+  std::array<char, 256> buf{};
+  while (fgets(buf.data(), static_cast<int>(buf.size()), pipe) != nullptr)
+    r.output += buf.data();
+  const int status = pclose(pipe);
+  if (WIFEXITED(status)) r.exit_code = WEXITSTATUS(status);
+  return r;
+}
+
+struct Rejection {
+  const char* name;
+  const char* args;
+  const char* flag;  ///< the flag the error must name
+};
+
+void PrintTo(const Rejection& c, std::ostream* os) { *os << c.args; }
+
+class OsntRunRejects : public ::testing::TestWithParam<Rejection> {};
+
+TEST_P(OsntRunRejects, ExitsOneNamingTheFlag) {
+  const Rejection& c = GetParam();
+  const RunResult r = run_osnt(c.args);
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find(c.flag), std::string::npos) << r.output;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Flags, OsntRunRejects,
+    ::testing::Values(
+        Rejection{"capture_negative_flows", "capture --flows -3", "--flows"},
+        Rejection{"capture_zero_flows", "capture --flows 0", "--flows"},
+        Rejection{"capture_negative_snap", "capture --snap -1", "--snap"},
+        Rejection{"capture_negative_rate", "capture --rate-gbps -1",
+                  "--rate-gbps"},
+        Rejection{"throughput_negative_jobs", "throughput --jobs -4",
+                  "--jobs"},
+        Rejection{"throughput_negative_frame_size",
+                  "throughput --frame-size -1", "--frame-size"},
+        Rejection{"latency_runt_frame_size", "latency --frame-size 20",
+                  "--frame-size"},
+        Rejection{"latency_oversize_frame_size", "latency --frame-size 1519",
+                  "--frame-size"},
+        Rejection{"latency_negative_rate", "latency --rate-gbps -2",
+                  "--rate-gbps"},
+        Rejection{"latency_negative_duration", "latency --duration-ms -1",
+                  "--duration-ms"}),
+    [](const auto& info) { return std::string(info.param.name); });
+
+TEST(OsntRun, LatencyAcceptsFrameSizeBounds) {
+  for (const char* size : {"64", "1518"}) {
+    const RunResult r = run_osnt(std::string("latency --duration-ms 0.05 "
+                                             "--frame-size ") + size);
+    EXPECT_EQ(r.exit_code, 0) << size << ": " << r.output;
+  }
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Unit tests for the common substrate: CRC, hashes, RNG, statistics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 
@@ -72,6 +73,75 @@ TEST(Crc32, SensitiveToSingleBit) {
   b[31] ^= 0x01;
   EXPECT_NE(crc32(ByteSpan{a.data(), a.size()}),
             crc32(ByteSpan{b.data(), b.size()}));
+}
+
+// The slicing-by-8 kernel against a bit-at-a-time reference (the
+// polynomial division written out), over every frame length, every
+// alignment of the first byte, incremental splits and constant buffers.
+std::uint32_t crc32_bitwise(ByteSpan data) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (const std::uint8_t b : data) {
+    c ^= b;
+    for (int k = 0; k < 8; ++k) c = (c >> 1) ^ (0xEDB88320u & (0u - (c & 1u)));
+  }
+  return ~c;
+}
+
+constexpr std::size_t kMaxKernelLen = 1600;
+
+Bytes random_bytes(std::size_t n, std::uint64_t seed) {
+  Rng rng{seed};
+  Bytes out(n);
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng());
+  return out;
+}
+
+TEST(Crc32, EveryLengthAndOffsetMatchesBitwise) {
+  const Bytes content = random_bytes(kMaxKernelLen, 17);
+  Bytes buf(kMaxKernelLen + 8);
+  for (std::size_t len = 0; len <= kMaxKernelLen; ++len) {
+    const std::uint32_t want = crc32_bitwise(ByteSpan{content.data(), len});
+    for (std::size_t off = 0; off < 8; ++off) {
+      std::copy_n(content.begin(), len, buf.begin() + static_cast<long>(off));
+      const ByteSpan at{buf.data() + off, len};
+      ASSERT_EQ(crc32(at), want) << "len " << len << " offset " << off;
+      Crc32 inc;
+      inc.update(at);
+      ASSERT_EQ(inc.value(), want) << "len " << len << " offset " << off;
+    }
+  }
+}
+
+TEST(Crc32, RandomChunkSplitsMatchBitwise) {
+  const Bytes data = random_bytes(kMaxKernelLen, 23);
+  Rng rng{29};
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::size_t len = rng.uniform_int(0, kMaxKernelLen);
+    Crc32 inc;
+    for (std::size_t at = 0; at < len;) {
+      const std::size_t chunk = std::min<std::size_t>(
+          2 * rng.uniform_int(0, 20) + 1, len - at);  // odd lengths
+      if (chunk == 1) {
+        inc.update(data[at]);
+      } else {
+        inc.update(ByteSpan{data.data() + at, chunk});
+      }
+      at += chunk;
+    }
+    ASSERT_EQ(inc.value(), crc32_bitwise(ByteSpan{data.data(), len}))
+        << "trial " << trial << " len " << len;
+  }
+}
+
+TEST(Crc32, ConstantBuffersMatchBitwise) {
+  for (const std::uint8_t fill : {std::uint8_t{0x00}, std::uint8_t{0xFF}}) {
+    const Bytes buf(kMaxKernelLen, fill);
+    for (std::size_t len = 0; len <= kMaxKernelLen; ++len) {
+      ASSERT_EQ(crc32(ByteSpan{buf.data(), len}),
+                crc32_bitwise(ByteSpan{buf.data(), len}))
+          << "fill " << int{fill} << " len " << len;
+    }
+  }
 }
 
 // ------------------------------------------------------------------ hash

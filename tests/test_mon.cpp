@@ -2,6 +2,8 @@
 // and the RX pipeline end-to-end with the loss-limited DMA path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "osnt/common/crc.hpp"
 #include "osnt/hw/port.hpp"
 #include "osnt/mon/capture.hpp"
@@ -169,6 +171,32 @@ TEST(Cutter, SnapLongerThanFrameIsNoop) {
   EXPECT_EQ(c.process(p.bytes()).data.size(), p.size());
 }
 
+TEST(Cutter, FullFrameMovesIntoRecordWithFullHash) {
+  PacketCutter c;
+  auto p = udp_frame(1, 1, 252);
+  const Bytes frame = p.data;
+  const std::uint8_t* buffer = p.data.data();
+  const auto r = c.process(std::move(p.data));
+  EXPECT_EQ(r.data, frame);
+  EXPECT_EQ(r.data.data(), buffer);  // moved, not copied
+  EXPECT_EQ(r.orig_len, frame.size());
+  EXPECT_EQ(r.hash, crc32(ByteSpan{frame.data(), frame.size()}));
+}
+
+TEST(Cutter, RealCutKeepsOnlySnapBytes) {
+  CutterConfig cfg;
+  cfg.snap_len = 64;
+  PacketCutter c{cfg};
+  auto p = udp_frame(1, 1, 1518);
+  const Bytes frame = p.data;
+  const auto r = c.process(std::move(p.data));
+  ASSERT_EQ(r.data.size(), 64u);
+  EXPECT_LE(r.data.capacity(), 64u);  // no retained full-frame buffer
+  EXPECT_TRUE(std::equal(r.data.begin(), r.data.end(), frame.begin()));
+  EXPECT_EQ(r.orig_len, frame.size());
+  EXPECT_EQ(r.hash, crc32(ByteSpan{frame.data(), frame.size()}));
+}
+
 // ------------------------------------------------------------ stats block
 
 TEST(StatsBlock, SizeBinsAndProtocols) {
@@ -254,6 +282,31 @@ TEST(RxPipeline, CutterAppliesSnap) {
   ASSERT_EQ(f.host.size(), 1u);
   EXPECT_EQ(f.host.records()[0].data.size(), 48u);
   EXPECT_EQ(f.host.records()[0].orig_len, 508u);
+}
+
+TEST(RxPipeline, FullFrameRecordMatchesFrameAndHash) {
+  RxFixture f;
+  const auto p = udp_frame(1, 53, 252);
+  (void)f.src.tx().transmit(p);
+  f.eng.run();
+  ASSERT_EQ(f.host.size(), 1u);
+  const CaptureRecord& rec = f.host.records()[0];
+  EXPECT_EQ(rec.data, p.data);
+  EXPECT_EQ(rec.hash, crc32(p.bytes()));
+}
+
+TEST(RxPipeline, SnappedRecordHoldsNoFullFrameBuffer) {
+  RxConfig cfg;
+  cfg.cutter.snap_len = 64;
+  RxFixture f{cfg};
+  const auto p = udp_frame(1, 53, 1518);
+  (void)f.src.tx().transmit(p);
+  f.eng.run();
+  ASSERT_EQ(f.host.size(), 1u);
+  const CaptureRecord& rec = f.host.records()[0];
+  EXPECT_EQ(rec.data.size(), 64u);
+  EXPECT_LE(rec.data.capacity(), 64u);
+  EXPECT_EQ(rec.hash, crc32(p.bytes()));
 }
 
 TEST(RxPipeline, CaptureDisabledStillCounts) {

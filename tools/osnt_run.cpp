@@ -20,6 +20,7 @@
 // --faults loads a deterministic fault plan (see examples/faults/) and
 // injects it into the testbed; fault activations show up as a "fault/*"
 // trace track and in the fault.* metric family.
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -219,6 +220,27 @@ bool non_negative(const char* flag, double v) {
   return false;
 }
 
+/// False, after naming `flag` on stderr, unless `v` is above zero.
+bool positive(const char* flag, double v) {
+  if (v > 0) return true;
+  std::fprintf(stderr, "--%s must be positive\n", flag);
+  return false;
+}
+
+/// False, after naming `flag` on stderr, when `v` is outside [lo, hi].
+bool in_range(const char* flag, std::int64_t v, std::int64_t lo,
+              std::int64_t hi) {
+  if (v >= lo && v <= hi) return true;
+  std::fprintf(stderr, "--%s must be in [%lld, %lld]\n", flag,
+               static_cast<long long>(lo), static_cast<long long>(hi));
+  return false;
+}
+
+/// A frame size flag's bounds: the cbr workload stanza's [64, 1518].
+bool frame_size_ok(std::int64_t v) {
+  return in_range("frame-size", v, net::kEthMinFrame, net::kEthMaxFrame);
+}
+
 /// Run one trial of `topo` per `reports` slot, at seeds base_seed + i,
 /// sharded over the runner pool; reports land in plan order at any --jobs.
 std::vector<core::TrialResult> run_topology(
@@ -285,7 +307,7 @@ int cmd_latency(int argc, const char* const* argv) {
   ObservabilityFlags obs;
   CliParser cli{"osnt_run latency — one-way latency/jitter through a DUT"};
   cli.add_flag("rate-gbps", &rate_gbps, "offered L1 rate");
-  cli.add_flag("frame-size", &frame_size, "frame size incl. FCS");
+  cli.add_flag("frame-size", &frame_size, "frame size incl. FCS, 64..1518");
   cli.add_flag("duration-ms", &duration_ms, "simulated test duration");
   cli.add_flag("dut", &dut, "device under test: none|legacy|lossy");
   cli.add_flag("poisson", &poisson, "Poisson arrivals instead of CBR");
@@ -299,6 +321,10 @@ int cmd_latency(int argc, const char* const* argv) {
   obs.add_to(cli);
   obs.add_series_to(cli);
   if (!cli.parse(argc, argv)) return cli.help_requested() ? 0 : 1;
+  if (!frame_size_ok(frame_size) || !positive("rate-gbps", rate_gbps) ||
+      !non_negative("duration-ms", duration_ms)) {
+    return 1;
+  }
   if (!obs.validate(1, 1)) return 1;
 
   fault::FaultPlan fplan;
@@ -399,13 +425,18 @@ int cmd_throughput(int argc, const char* const* argv) {
   std::int64_t jobs = 1;
   ObservabilityFlags obs;
   CliParser cli{"osnt_run throughput — RFC 2544 zero-loss search"};
-  cli.add_flag("frame-size", &frame_size, "single size, or 0 for the sweep");
+  cli.add_flag("frame-size", &frame_size,
+               "single size in 64..1518, or 0 for the sweep");
   cli.add_flag("resolution", &resolution, "search resolution (fraction)");
   cli.add_flag("dut", &dut, "device under test: none|legacy|lossy");
   cli.add_flag("jobs", &jobs,
                "worker threads for the sweep (0 = all hardware threads)");
   obs.add_to(cli);
   if (!cli.parse(argc, argv)) return cli.help_requested() ? 0 : 1;
+  if ((frame_size != 0 && !frame_size_ok(frame_size)) ||
+      !non_negative("jobs", static_cast<double>(jobs))) {
+    return 1;
+  }
   // The trace recorder is single-threaded; a sharded sweep cannot share
   // one. Metrics shards merge commutatively, so --metrics-out is fine at
   // any job count.
@@ -436,7 +467,7 @@ int cmd_throughput(int argc, const char* const* argv) {
   core::ThroughputSearchConfig cfg;
   cfg.resolution = resolution;
   core::RunnerConfig runner;
-  runner.jobs = static_cast<std::size_t>(jobs < 0 ? 0 : jobs);
+  runner.jobs = static_cast<std::size_t>(jobs);
   std::printf("%7s %12s %10s %10s\n", "size", "zero-loss", "Gb/s", "Mpps");
   if (frame_size > 0) {
     const auto pt =
@@ -465,6 +496,11 @@ int cmd_capture(int argc, const char* const* argv) {
   cli.add_flag("pcap-out", &pcap_out, "write the capture to this .pcap");
   obs.add_to(cli);
   if (!cli.parse(argc, argv)) return cli.help_requested() ? 0 : 1;
+  if (!positive("rate-gbps", rate_gbps) ||
+      !in_range("flows", flows, 1, UINT32_MAX) ||
+      !non_negative("snap", static_cast<double>(snap))) {
+    return 1;
+  }
 
   sim::Engine eng;
   obs.attach(eng);
@@ -620,14 +656,8 @@ int cmd_tcp(int argc, const char* const* argv) {
     std::fprintf(stderr, "--flows/--trials must be positive\n");
     return 1;
   }
-  if (mss <= 0 || mss > tcp::kMaxMss) {
-    std::fprintf(stderr, "--mss must be in [1, %u]\n", tcp::kMaxMss);
-    return 1;
-  }
-  if (rwnd_kb <= 0) {
-    std::fprintf(stderr, "--rwnd-kb must be positive\n");
-    return 1;
-  }
+  if (!in_range("mss", mss, 1, tcp::kMaxMss)) return 1;
+  if (!positive("rwnd-kb", static_cast<double>(rwnd_kb))) return 1;
   if (!non_negative("bottleneck-gbps", bottleneck_gbps) ||
       !non_negative("queue-segments", static_cast<double>(queue_segments)) ||
       !non_negative("seed", static_cast<double>(seed)) ||
