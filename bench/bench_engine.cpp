@@ -135,10 +135,11 @@ BENCHMARK(BM_LineRateStorm4Port)->Arg(4096);
 ///
 /// The BENCH_engine.json `burst_pps` gate compares the dark-port arm
 /// against the recorded per-frame baseline in
-/// tools/bench_engine_snapshot.sh. Through a wire, every frame also pays
-/// a Link delivery event (~the BM_ScheduleFire floor), which bounds any
-/// end-to-end ratio near 2x no matter how cheap emission gets — the
-/// wired arm is reported for that context.
+/// tools/bench_engine_snapshot.sh. Through a wire, every frame still
+/// fires one Link delivery, but the link's lane keeps only the next
+/// frame's event armed, so the heap stays one entry deep instead of a
+/// whole burst deep (DESIGN.md §18); the wired arm is reported for that
+/// context.
 void BM_BurstEmission(benchmark::State& state) {
   std::uint64_t frames = 0;
   for (auto _ : state) {

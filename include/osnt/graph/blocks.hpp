@@ -17,6 +17,8 @@
 #include "osnt/common/random.hpp"
 #include "osnt/graph/block.hpp"
 #include "osnt/mon/latency_probe.hpp"
+#include "osnt/sim/lane.hpp"
+#include "osnt/sim/link.hpp"
 #include "osnt/telemetry/histogram.hpp"
 
 namespace osnt::graph {
@@ -54,7 +56,7 @@ class FifoQueueBlock : public Block {
   void set_queue_frames(std::size_t frames);
 
  protected:
-  /// Admission already passed: claim a serializer slot and schedule the
+  /// Admission already passed: claim a serializer slot and queue the
   /// departure. Shared with RedBlock, whose job is only to veto arrivals.
   void enqueue(net::Packet pkt);
   void count_tail_drop() noexcept {
@@ -65,10 +67,18 @@ class FifoQueueBlock : public Block {
   FifoQueueConfig fifo_cfg_;
 
  private:
+  struct Depart {
+    FifoQueueBlock* self;
+    void operator()(sim::FrameInFlight&& f) const;
+  };
+
   std::size_t depth_ = 0;
   std::size_t peak_ = 0;
   std::uint64_t tail_drops_ = 0;
   Picos busy_until_ = 0;
+  /// Departures end in serializer order (busy_until_ only grows), so one
+  /// lane holds the whole queue on one armed event.
+  sim::Lane<sim::FrameInFlight, Depart> departures_;
 };
 
 // ------------------------------------------------------------------- red
@@ -157,6 +167,11 @@ class TokenBucketBlock : public Block {
   void set_queue_frames(std::size_t frames);
 
  private:
+  struct Release {
+    TokenBucketBlock* self;
+    void operator()(sim::FrameInFlight&& f) const;
+  };
+
   void refill() noexcept;
 
   TokenBucketConfig cfg_;
@@ -168,6 +183,8 @@ class TokenBucketBlock : public Block {
   std::uint64_t conforming_ = 0;
   std::uint64_t shaped_ = 0;
   std::uint64_t policed_ = 0;
+  /// Shaped releases, strictly monotone through last_release_.
+  sim::Lane<sim::FrameInFlight, Release> releases_;
 };
 
 // -------------------------------------------------------------- delay_ber

@@ -12,6 +12,12 @@
 // lazy (a cancelled slot's entry is skimmed off the heap head when it
 // surfaces). EventId packs {generation, slot}, so a stale id from a
 // fired event can never cancel the slot's next occupant.
+//
+// Streams of events that fire in the order they were scheduled (frames
+// on a link, departures from a FIFO) go through sim::Lane (lane.hpp):
+// it reserves each item's seq at push time with reserve_seq() and arms
+// only its head with schedule_reserved_at(), so the heap holds one entry
+// per stream while every item keeps its {time, seq} key (DESIGN.md §18).
 #pragma once
 
 #include <chrono>
@@ -176,6 +182,25 @@ class Engine {
     return arm_(t, slot, meta_[slot]);
   }
 
+  /// Take the seq a schedule_at call would consume right now, without
+  /// scheduling anything. Hand it to schedule_reserved_at later and the
+  /// event fires exactly where a schedule_at made now would have: same
+  /// {time, seq} key, so same order against every other event. A
+  /// reserved seq must be armed (or dropped) within 2^31 later seqs.
+  [[nodiscard]] std::uint32_t reserve_seq() noexcept { return next_seq_++; }
+
+  /// schedule_at under a seq taken earlier from reserve_seq(). `t` is
+  /// clamped to now just as schedule_at clamps it.
+  template <typename F,
+            typename = std::enable_if_t<
+                !std::is_same_v<std::decay_t<F>, UniqueFn> &&
+                std::is_invocable_r_v<void, std::decay_t<F>&>>>
+  EventId schedule_reserved_at(Picos t, std::uint32_t seq, F&& fn) {
+    const std::uint32_t slot = acquire_slot_();
+    fn_(slot).emplace(std::forward<F>(fn));
+    return arm_(t, seq, slot, meta_[slot]);
+  }
+
   /// Schedule `fn` `dt` picoseconds from now (negative clamps to now).
   template <typename F>
   EventId schedule_in(Picos dt, F&& fn) {
@@ -279,6 +304,7 @@ class Engine {
     return heap_hw_;
   }
   /// Most events simultaneously live (scheduled, not yet fired/cancelled).
+  /// A lane's waiting items are not events: it counts once, for its head.
   [[nodiscard]] std::size_t live_high_water() const noexcept {
     return live_hw_;
   }
@@ -344,10 +370,13 @@ class Engine {
   }
 
   EventId arm_(Picos t, std::uint32_t slot, SlotMeta& m) {
+    return arm_(t, next_seq_++, slot, m);
+  }
+  EventId arm_(Picos t, std::uint32_t seq, std::uint32_t slot, SlotMeta& m) {
     m.state = State::kPending;
     m.category = static_cast<std::uint8_t>(cat_);
     m.where = Where::kHeap;
-    heap_push_(HeapEntry{t > now_ ? t : now_, next_seq_++, slot});
+    heap_push_(HeapEntry{t > now_ ? t : now_, seq, slot});
     ++live_;
     live_hw_ = live_ > live_hw_ ? live_ : live_hw_;
     return id_of_(slot, m.gen);

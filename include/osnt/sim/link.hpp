@@ -2,15 +2,23 @@
 // pushes frames whose serialization window it already computed; the link
 // adds propagation delay and hands the frame to the connected sink.
 // A Cable bundles the two directions between two ports.
+//
+// Frames in flight wait in the link's lane (sim/lane.hpp): a wire
+// delivers in the order it was fed, so the whole flight costs one armed
+// engine event, for the frame that lands next, instead of one per frame.
+// Each frame still lands at the {time, seq} key a per-frame event would
+// have had.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 
 #include "osnt/common/random.hpp"
 #include "osnt/common/time.hpp"
 #include "osnt/net/packet.hpp"
 #include "osnt/sim/engine.hpp"
+#include "osnt/sim/lane.hpp"
 
 namespace osnt::sim {
 
@@ -20,6 +28,14 @@ class FrameSink {
   virtual ~FrameSink() = default;
   /// `first_bit` / `last_bit` are arrival times at this sink.
   virtual void on_frame(net::Packet pkt, Picos first_bit, Picos last_bit) = 0;
+};
+
+/// A frame on its way to a sink, with its arrival bit times: the item a
+/// link's lane (and a serializing graph block's) carries.
+struct FrameInFlight {
+  net::Packet pkt;
+  Picos first_bit = 0;
+  Picos last_bit = 0;
 };
 
 /// Propagation delay of `meters` of fiber (~4.9 ns/m).
@@ -32,6 +48,9 @@ class Link {
   /// `propagation` is the one-way flight time of a bit.
   Link(Engine& eng, Picos propagation = fiber_delay(2.0)) noexcept
       : eng_(&eng), propagation_(propagation) {}
+  /// Frames in flight hold this link's address.
+  Link(const Link&) = delete;
+  Link& operator=(const Link&) = delete;
 
   void connect(FrameSink& sink) noexcept { sink_ = &sink; }
   [[nodiscard]] bool connected() const noexcept { return sink_ != nullptr; }
@@ -55,7 +74,9 @@ class Link {
 
   /// Fault seam: additional one-way delay applied on top of propagation
   /// (a latency-jitter spike — rerouted path, PAUSE storm). Negative
-  /// clamps to zero; frames already in flight keep their old delay.
+  /// clamps to zero; frames already in flight keep their old delay. A
+  /// frame that, after a shrink, lands before one already in flight
+  /// overtakes it, on an event of its own.
   void set_extra_delay(Picos extra) noexcept {
     extra_delay_ = extra > 0 ? extra : 0;
   }
@@ -63,13 +84,21 @@ class Link {
 
   /// Carry a frame whose first bit enters the wire at `tx_start` and whose
   /// last bit enters at `tx_end`. Frames on an unconnected link are
-  /// counted and discarded (a dark fiber).
+  /// counted and discarded (a dark fiber). A frame whose last bit lands
+  /// now (a zero-delay hop) reaches the sink before carry returns.
   void carry(net::Packet pkt, Picos tx_start, Picos tx_end);
 
   [[nodiscard]] std::uint64_t frames_carried() const noexcept { return carried_; }
   [[nodiscard]] std::uint64_t frames_lost_dark() const noexcept { return dark_; }
 
  private:
+  struct Deliver {
+    Link* link;
+    void operator()(FrameInFlight&& f) const {
+      link->sink_->on_frame(std::move(f.pkt), f.first_bit, f.last_bit);
+    }
+  };
+
   Engine* eng_;
   FrameSink* sink_ = nullptr;
   Picos propagation_;
@@ -81,6 +110,8 @@ class Link {
   std::uint64_t dark_ = 0;
   std::uint64_t corrupted_ = 0;
   std::uint64_t lost_down_ = 0;
+  Lane<FrameInFlight, Deliver> in_flight_{*eng_, EventCategory::kLink,
+                                          Deliver{this}};
 };
 
 }  // namespace osnt::sim

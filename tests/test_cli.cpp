@@ -190,7 +190,19 @@ INSTANTIATE_TEST_SUITE_P(
         Rejection{"latency_negative_rate", "latency --rate-gbps -2",
                   "--rate-gbps"},
         Rejection{"latency_negative_duration", "latency --duration-ms -1",
-                  "--duration-ms"}),
+                  "--duration-ms"},
+        Rejection{"latency_negative_retries", "latency --retries -3",
+                  "--retries"},
+        Rejection{"latency_negative_event_budget",
+                  "latency --event-budget -1", "--event-budget"},
+        Rejection{"latency_negative_wall_deadline",
+                  "latency --wall-deadline-ms -5", "--wall-deadline-ms"},
+        Rejection{"throughput_zero_resolution",
+                  "throughput --frame-size 64 --resolution 0",
+                  "--resolution"},
+        Rejection{"throughput_negative_resolution",
+                  "throughput --frame-size 64 --resolution -1",
+                  "--resolution"}),
     [](const auto& info) { return std::string(info.param.name); });
 
 TEST(OsntRun, LatencyAcceptsFrameSizeBounds) {

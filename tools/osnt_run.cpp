@@ -322,7 +322,11 @@ int cmd_latency(int argc, const char* const* argv) {
   obs.add_series_to(cli);
   if (!cli.parse(argc, argv)) return cli.help_requested() ? 0 : 1;
   if (!frame_size_ok(frame_size) || !positive("rate-gbps", rate_gbps) ||
-      !non_negative("duration-ms", duration_ms)) {
+      !non_negative("duration-ms", duration_ms) ||
+      !in_range("retries", retries, 0, UINT32_MAX - 1) ||
+      !non_negative("event-budget", static_cast<double>(event_budget)) ||
+      !non_negative("wall-deadline-ms",
+                    static_cast<double>(wall_deadline_ms))) {
     return 1;
   }
   if (!obs.validate(1, 1)) return 1;
@@ -385,12 +389,9 @@ int cmd_latency(int argc, const char* const* argv) {
   };
 
   core::RunnerConfig rcfg;
-  rcfg.max_attempts =
-      static_cast<std::uint32_t>(retries < 0 ? 0 : retries) + 1;
-  rcfg.event_budget =
-      static_cast<std::uint64_t>(event_budget < 0 ? 0 : event_budget);
-  rcfg.wall_deadline_ms =
-      static_cast<std::uint64_t>(wall_deadline_ms < 0 ? 0 : wall_deadline_ms);
+  rcfg.max_attempts = static_cast<std::uint32_t>(retries) + 1;
+  rcfg.event_budget = static_cast<std::uint64_t>(event_budget);
+  rcfg.wall_deadline_ms = static_cast<std::uint64_t>(wall_deadline_ms);
   const auto outcomes = core::Runner{rcfg}.run_resilient(plan);
   const auto& tr = outcomes.front();
   if (!tr.ok()) {
@@ -434,6 +435,7 @@ int cmd_throughput(int argc, const char* const* argv) {
   obs.add_to(cli);
   if (!cli.parse(argc, argv)) return cli.help_requested() ? 0 : 1;
   if ((frame_size != 0 && !frame_size_ok(frame_size)) ||
+      !positive("resolution", resolution) ||
       !non_negative("jobs", static_cast<double>(jobs))) {
     return 1;
   }
