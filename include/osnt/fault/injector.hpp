@@ -7,10 +7,10 @@
 // run is just a run: same engine, same determinism, same telemetry.
 //
 // Block-targeted events (rate_limit, queue_cap) resolve against the
-// attached graph's blocks by name in one function, which arm() and
-// check_targets() share: `osnt_run topo --validate-only` builds the graph
-// without running it and asks check_targets(), so the dry run and the run
-// reject a plan with the same words.
+// attached graph's blocks by name in arm(), the one target resolver.
+// Arming on an engine that never runs schedules events and fires none,
+// so `osnt_run topo --validate-only` (a TopologyTrial that is never run)
+// rejects a plan with the run's words.
 #pragma once
 
 #include <cstddef>
@@ -80,11 +80,6 @@ class Injector {
   /// engine's run.
   void arm();
   [[nodiscard]] bool armed() const noexcept { return armed_; }
-
-  /// Resolve every block-targeted event the way arm() does, and throw the
-  /// same PlanError on an unknown or wrongly-typed target, without
-  /// scheduling anything.
-  void check_targets() const;
 
   /// Fault activations that actually fired (counted at their start time).
   [[nodiscard]] std::uint64_t injected(FaultKind k) const noexcept {

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <deque>
+#include <vector>
 
 #include "osnt/dut/legacy_switch.hpp"
 #include "osnt/dut/openflow_switch.hpp"
@@ -16,35 +17,59 @@
 
 namespace osnt::graph {
 
-/// dut::LegacySwitch as an N-in/N-out block (N = cfg.num_ports).
-class LegacySwitchBlock : public Block {
+/// What both switch wrappers share: graph input i feeds switch port i's
+/// RX MAC and port i's TX link relays into graph output i.
+class SwitchBlock : public Block {
  public:
-  LegacySwitchBlock(sim::Engine& eng, std::string name,
-                    dut::LegacySwitchConfig cfg = {});
-
   void on_frame(std::size_t in_port, net::Packet pkt, Picos first_bit,
-                Picos last_bit) override;
+                Picos last_bit) override {
+    ports_[in_port]->rx().on_frame(std::move(pkt), first_bit, last_bit);
+  }
 
-  /// The wrapped switch, for static MACs and counter assertions.
-  [[nodiscard]] dut::LegacySwitch& dut() noexcept { return sw_; }
+ protected:
+  SwitchBlock(sim::Engine& eng, std::string name, std::size_t num_ports)
+      : Block(eng, std::move(name), num_ports, num_ports) {}
+
+  /// Relay every port of `sw`; once, from the wrapper's constructor.
+  template <class Switch>
+  void relay(Switch& sw) {
+    for (std::size_t i = 0; i < sw.num_ports(); ++i) {
+      ports_.push_back(&sw.port(i));
+      egress_.emplace_back(*this, i);
+      sw.port(i).out_link().connect(egress_.back());
+    }
+  }
 
  private:
   /// Relays one switch TX link into one graph output port.
   class Egress final : public sim::FrameSink {
    public:
-    Egress(LegacySwitchBlock& owner, std::size_t port) noexcept
+    Egress(SwitchBlock& owner, std::size_t port) noexcept
         : owner_(&owner), port_(port) {}
     void on_frame(net::Packet pkt, Picos first_bit, Picos last_bit) override {
       owner_->emit(port_, std::move(pkt), first_bit, last_bit);
     }
 
    private:
-    LegacySwitchBlock* owner_;
+    SwitchBlock* owner_;
     std::size_t port_;
   };
 
-  dut::LegacySwitch sw_;
+  std::vector<hw::EthPort*> ports_;
   std::deque<Egress> egress_;
+};
+
+/// dut::LegacySwitch as an N-in/N-out block (N = cfg.num_ports).
+class LegacySwitchBlock : public SwitchBlock {
+ public:
+  LegacySwitchBlock(sim::Engine& eng, std::string name,
+                    dut::LegacySwitchConfig cfg = {});
+
+  /// The wrapped switch, for static MACs and counter assertions.
+  [[nodiscard]] dut::LegacySwitch& dut() noexcept { return sw_; }
+
+ private:
+  dut::LegacySwitch sw_;
 };
 
 /// dut::OpenFlowSwitch as an N-in/N-out block. The block owns its
@@ -54,13 +79,10 @@ struct OpenFlowSwitchBlockConfig {
   openflow::ChannelConfig chan{};
 };
 
-class OpenFlowSwitchBlock : public Block {
+class OpenFlowSwitchBlock : public SwitchBlock {
  public:
   OpenFlowSwitchBlock(sim::Engine& eng, std::string name,
                       OpenFlowSwitchBlockConfig cfg = {});
-
-  void on_frame(std::size_t in_port, net::Packet pkt, Picos first_bit,
-                Picos last_bit) override;
 
   [[nodiscard]] openflow::ControlChannel::Endpoint& controller() noexcept {
     return chan_.controller();
@@ -68,22 +90,8 @@ class OpenFlowSwitchBlock : public Block {
   [[nodiscard]] dut::OpenFlowSwitch& dut() noexcept { return sw_; }
 
  private:
-  class Egress final : public sim::FrameSink {
-   public:
-    Egress(OpenFlowSwitchBlock& owner, std::size_t port) noexcept
-        : owner_(&owner), port_(port) {}
-    void on_frame(net::Packet pkt, Picos first_bit, Picos last_bit) override {
-      owner_->emit(port_, std::move(pkt), first_bit, last_bit);
-    }
-
-   private:
-    OpenFlowSwitchBlock* owner_;
-    std::size_t port_;
-  };
-
   openflow::ControlChannel chan_;
   dut::OpenFlowSwitch sw_;
-  std::deque<Egress> egress_;
 };
 
 }  // namespace osnt::graph

@@ -86,7 +86,8 @@ class Graph {
     std::size_t port_;
   };
 
-  Block& lookup(const std::string& name, const char* role);
+  /// find(), or a GraphError naming the nearest block name.
+  Block& lookup(const std::string& name);
   void claim_output(Block& src, std::size_t out_port, sim::Link* link);
 
   sim::Engine* eng_;

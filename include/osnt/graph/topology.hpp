@@ -8,12 +8,11 @@
 //
 // Parsing is strict (osnt::json): any unknown key or misspelled block
 // type is a hard error with the line/column it occurred at, plus a
-// did-you-mean suggestion for plausible typos. Wiring errors — dangling
-// edges, port-count mismatches, an output claimed twice, duplicate block
-// names — and workload errors (validate_workload) fail at load() time,
-// before any engine exists. Each block type is one row of a table in
-// topology.cpp holding its name, the keys it reads, its port counts and
-// how it is built; a new block type is one new row.
+// did-you-mean suggestion for plausible typos. Wiring errors are the
+// Graph's, named by edge or workload endpoint when a trial wires them.
+// Each block type is one row of a table in topology.cpp holding its
+// name, the keys it reads and how it is built; a new block type is one
+// new row.
 //
 // Determinism: per-block random streams (RED's drop lottery, delay_ber's
 // corruption) are derived from the trial seed and the block's ordinal,
@@ -55,9 +54,9 @@ struct Endpoint {
 };
 
 /// One block declaration. `type` names its row in the loader's
-/// block-type table, which reads the type's keys into `config`, fills
-/// the port counts validation checks, and builds the block. Parsed
-/// fields read as std::get<FifoQueueConfig>(spec.config).queue_frames.
+/// block-type table, which reads the type's keys into `config` and
+/// builds the block. Parsed fields read as
+/// std::get<FifoQueueConfig>(spec.config).queue_frames.
 struct BlockSpec {
   /// One alternative per block type; `sink` has no settings.
   using Config =
@@ -68,8 +67,6 @@ struct BlockSpec {
 
   std::string name;
   std::string type;
-  std::size_t num_inputs = 1;
-  std::size_t num_outputs = 1;
   Config config;
 };
 
@@ -111,7 +108,7 @@ struct WorkloadSpec {
   std::uint32_t flow_count = 1;
 };
 
-/// A parsed, validated topology file. Pure data until build() is called.
+/// A parsed topology file. Pure data until build() is called.
 struct TopologyFile {
   std::string name;
   std::uint64_t seed = 1;
@@ -120,9 +117,9 @@ struct TopologyFile {
   std::vector<EdgeSpec> edges;
   WorkloadSpec workload;
 
-  /// Parse + validate (structure, then validate_workload), so every
-  /// load path rejects the same files. Throws TopologyError, with file
-  /// positions where the error has one.
+  /// Parse, then validate_workload, so every load path rejects the same
+  /// values. Throws TopologyError, with file positions where the error
+  /// has one. Wiring is checked by build(), not here.
   [[nodiscard]] static TopologyFile from_json(const std::string& text);
   [[nodiscard]] static TopologyFile load(const std::string& path);
 
@@ -133,6 +130,7 @@ struct TopologyFile {
   /// Instantiate every block and edge into `g`. Per-block random streams
   /// derive from `trial_seed` and the block ordinal. `horizon` is the run
   /// length burst_source schedules render over (0 = the file's duration).
+  /// A wiring error names its edge (`edges[i]: ...`).
   void build(sim::Engine& eng, Graph& g, std::uint64_t trial_seed,
              Picos horizon = 0) const;
 };
@@ -177,8 +175,8 @@ void validate_workload(const TopologyFile& topo);
 /// One deterministic trial. The constructor builds a fresh engine, device
 /// and graph from `topo`, attaches the workload at its endpoints and arms
 /// the fault plan, so a caller can time run() alone or set engine
-/// switches (set_wheel_enabled) first. `duration` 0 = the file's; `trace`
-/// is for single-threaded trials only. `series_interval > 0` samples
+/// switches (set_wheel_enabled) first; a trial never run is the dry run.
+/// `duration` 0 = the file's; `trace` is for single-threaded trials only. `series_interval > 0` samples
 /// per-block frames/bytes/drops, monitor RTT histograms and the tcp.*
 /// aggregates; per-trial series merge commutatively, so sharded runs stay
 /// byte-identical at any --jobs.
@@ -197,6 +195,8 @@ class TopologyTrial {
   [[nodiscard]] TopologyTrialReport report();
 
   [[nodiscard]] sim::Engine& engine() { return eng_; }
+  /// The built graph; block i is topo.blocks[i].
+  [[nodiscard]] Graph& graph() { return g_; }
   /// Null unless the workload is tcp.
   [[nodiscard]] tcp::ClosedLoopWorkload* tcp_workload() {
     return tcp_ ? &*tcp_ : nullptr;

@@ -129,15 +129,6 @@ void Injector::arm() {
   }
 }
 
-void Injector::check_targets() const {
-  for (std::size_t i = 0; i < plan_.events.size(); ++i) {
-    const FaultEvent& ev = plan_.events[i];
-    if (ev.kind == FaultKind::kRateLimit || ev.kind == FaultKind::kQueueCap) {
-      (void)resolve_(ev, i);
-    }
-  }
-}
-
 void Injector::arm_event_(const FaultEvent& ev, std::size_t ordinal) {
   const auto skip = [&](const char* needs) {
     ++skipped_;

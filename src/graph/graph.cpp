@@ -1,5 +1,7 @@
 #include "osnt/graph/graph.hpp"
 
+#include "osnt/common/cli.hpp"
+
 namespace osnt::graph {
 
 Block& Graph::add(std::unique_ptr<Block> block) {
@@ -11,13 +13,13 @@ Block& Graph::add(std::unique_ptr<Block> block) {
   return *blocks_.back();
 }
 
-Block& Graph::lookup(const std::string& name, const char* role) {
-  Block* b = find(name);
-  if (!b) {
-    throw GraphError(std::string("graph: unknown ") + role + " block '" +
-                     name + "'");
-  }
-  return *b;
+Block& Graph::lookup(const std::string& name) {
+  if (Block* b = find(name)) return *b;
+  std::vector<std::string> names;
+  names.reserve(blocks_.size());
+  for (const auto& b : blocks_) names.push_back(b->name());
+  throw GraphError("graph: unknown block '" + name + "'" +
+                   did_you_mean(name, names));
 }
 
 void Graph::claim_output(Block& src, std::size_t out_port, sim::Link* link) {
@@ -36,23 +38,11 @@ void Graph::claim_output(Block& src, std::size_t out_port, sim::Link* link) {
 sim::Link& Graph::connect(const std::string& src, std::size_t out_port,
                           const std::string& dst, std::size_t in_port,
                           Picos propagation) {
-  Block& to = lookup(dst, "destination");
-  if (in_port >= to.num_inputs()) {
-    throw GraphError("graph: block '" + to.name() + "' has no input port " +
-                     std::to_string(in_port) + " (inputs: " +
-                     std::to_string(to.num_inputs()) + ")");
-  }
-  Block& from = lookup(src, "source");
-  links_.emplace_back(*eng_, propagation);
-  sim::Link& link = links_.back();
-  adapters_.emplace_back(to, in_port);
-  link.connect(adapters_.back());
-  claim_output(from, out_port, &link);
-  return link;
+  return connect_output(src, out_port, input(dst, in_port), propagation);
 }
 
 sim::FrameSink& Graph::input(const std::string& dst, std::size_t in_port) {
-  Block& to = lookup(dst, "ingress");
+  Block& to = lookup(dst);
   if (in_port >= to.num_inputs()) {
     throw GraphError("graph: block '" + to.name() + "' has no input port " +
                      std::to_string(in_port) + " (inputs: " +
@@ -64,7 +54,7 @@ sim::FrameSink& Graph::input(const std::string& dst, std::size_t in_port) {
 
 sim::Link& Graph::connect_output(const std::string& src, std::size_t out_port,
                                  sim::FrameSink& sink, Picos propagation) {
-  Block& from = lookup(src, "egress");
+  Block& from = lookup(src);
   links_.emplace_back(*eng_, propagation);
   sim::Link& link = links_.back();
   link.connect(sink);
@@ -83,7 +73,7 @@ Block* Graph::find(const std::string& name) noexcept {
   return nullptr;
 }
 
-Block& Graph::at(const std::string& name) { return lookup(name, "graph"); }
+Block& Graph::at(const std::string& name) { return lookup(name); }
 
 std::uint64_t Graph::total_frames_in() const noexcept {
   std::uint64_t v = 0;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <charconv>
 #include <limits>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "osnt/common/cli.hpp"
 #include "osnt/common/json.hpp"
@@ -116,8 +114,8 @@ struct BuildSite {
 };
 
 /// Everything the loader knows about one block type. `parse` reads the
-/// type's keys into spec.config (the keys read are the keys allowed) and
-/// sets any port count that is not 1; `build` emplaces the block,
+/// type's keys into spec.config (the keys read are the keys allowed);
+/// `build` emplaces the block, whose constructor sets its port counts,
 /// applying the type's seed rule. A new block type is one new row.
 struct BlockType {
   const char* name;
@@ -179,12 +177,11 @@ constexpr BlockType kBlockTypes[] = {
        auto& c = s.config.emplace<EcmpConfig>();
        c.fanout = r.count("fanout", c.fanout);
        c.salt = r.count("salt", c.salt);
-       s.num_outputs = c.fanout;
      },
      [](const BlockSpec& b, const BuildSite& at) {
        at.g.emplace<EcmpBlock>(at.eng, b.name, std::get<EcmpConfig>(b.config));
      }},
-    {"sink", [](Reader&, BlockSpec& s) { s.num_outputs = 0; },
+    {"sink", [](Reader&, BlockSpec&) {},
      [](const BlockSpec& b, const BuildSite& at) {
        at.g.emplace<SinkBlock>(at.eng, b.name);
      }},
@@ -207,7 +204,6 @@ constexpr BlockType kBlockTypes[] = {
        c.cut_through = r.boolean("cut_through", c.cut_through);
        c.pipeline_latency = r.time("pipeline_latency", c.pipeline_latency);
        if (c.num_ports == 0) r.fail("num_ports must be positive");
-       s.num_inputs = s.num_outputs = c.num_ports;
      },
      [](const BlockSpec& b, const BuildSite& at) {
        auto c = std::get<dut::LegacySwitchConfig>(b.config);
@@ -220,7 +216,6 @@ constexpr BlockType kBlockTypes[] = {
        c.num_ports = r.count("num_ports", c.num_ports);
        c.table.max_entries = r.count("table_size", c.table.max_entries);
        if (c.num_ports == 0) r.fail("num_ports must be positive");
-       s.num_inputs = s.num_outputs = c.num_ports;
      },
      [](const BlockSpec& b, const BuildSite& at) {
        auto c = std::get<OpenFlowSwitchBlockConfig>(b.config);
@@ -231,7 +226,6 @@ constexpr BlockType kBlockTypes[] = {
      [](Reader& r, BlockSpec& s) {
        s.config.emplace<burst::BurstSourceConfig>().pattern =
            parse_burst_pattern(r);
-       s.num_inputs = 0;
      },
      [](const BlockSpec& b, const BuildSite& at) {
        auto c = std::get<burst::BurstSourceConfig>(b.config);
@@ -317,61 +311,23 @@ WorkloadSpec parse_workload(const Json& w) {
   return spec;
 }
 
-/// Structural validation: every referenced endpoint exists, input ports
-/// are in range, and every output port is claimed at most once.
-void validate(const TopologyFile& t) {
-  std::unordered_map<std::string, const BlockSpec*> by_name;
-  for (const auto& b : t.blocks) {
-    if (!by_name.emplace(b.name, &b).second) {
-      fail("duplicate block name '" + b.name + "'");
-    }
+/// The graph input at `ep`; a wiring error names `who`, the edge or
+/// workload endpoint the file wrote.
+sim::FrameSink& input_at(Graph& g, const Endpoint& ep, const std::string& who) {
+  try {
+    return g.input(ep.block, ep.port);
+  } catch (const GraphError& e) {
+    fail(who + ": " + e.what());
   }
-  const auto resolve = [&](const Endpoint& ep,
-                           const std::string& who) -> const BlockSpec& {
-    const auto it = by_name.find(ep.block);
-    if (it == by_name.end()) {
-      std::vector<std::string> names;
-      names.reserve(t.blocks.size());
-      for (const auto& b : t.blocks) names.push_back(b.name);
-      fail(who + ": unknown block '" + ep.block + "'" +
-           did_you_mean(ep.block, names));
-    }
-    return *it->second;
-  };
-  const auto check_port = [&](const Endpoint& ep, const std::string& who,
-                              bool input) {
-    const BlockSpec& b = resolve(ep, who);
-    const std::size_t ports = input ? b.num_inputs : b.num_outputs;
-    const std::string side = input ? "input" : "output";
-    if (ep.port >= ports) {
-      fail(who + ": block '" + b.name + "' has no " + side + " port " +
-           std::to_string(ep.port) + " (" + side + "s: " +
-           std::to_string(ports) + ")");
-    }
-  };
+}
 
-  std::unordered_set<std::string> claimed;
-  const auto claim = [&](const Endpoint& ep, const std::string& who) {
-    check_port(ep, who, /*input=*/false);
-    const std::string key = ep.block + ":" + std::to_string(ep.port);
-    if (!claimed.insert(key).second) {
-      fail(who + ": output '" + key + "' is already wired");
-    }
-  };
-
-  for (std::size_t i = 0; i < t.edges.size(); ++i) {
-    const std::string who = "edges[" + std::to_string(i) + "]";
-    claim(t.edges[i].from, who);
-    check_port(t.edges[i].to, who, /*input=*/true);
-  }
-  if (t.workload.kind != WorkloadSpec::Kind::kNone) {
-    check_port(t.workload.ingress, "workload.ingress", /*input=*/true);
-    claim(t.workload.egress, "workload.egress");
-    if (t.workload.ack_ingress) {
-      check_port(*t.workload.ack_ingress, "workload.ack_ingress",
-                 /*input=*/true);
-      claim(*t.workload.ack_egress, "workload.ack_egress");
-    }
+/// Wire the graph output at `ep` into `sink`; a wiring error names `who`.
+void output_at(Graph& g, const Endpoint& ep, sim::FrameSink& sink,
+               const std::string& who, Picos propagation = 0) {
+  try {
+    g.connect_output(ep.block, ep.port, sink, propagation);
+  } catch (const GraphError& e) {
+    fail(who + ": " + e.what());
   }
 }
 
@@ -421,7 +377,6 @@ TopologyFile TopologyFile::from_json(const std::string& text) {
   } catch (const json::ParseError& e) {
     throw TopologyError(e.what());
   }
-  validate(t);
   validate_workload(t);
   return t;
 }
@@ -443,9 +398,10 @@ void TopologyFile::build(sim::Engine& eng, Graph& g, std::uint64_t trial_seed,
     const BuildSite at{eng, g, derive_seed(trial_seed, 0x1090 + i), horizon};
     block_type(blocks[i].type).build(blocks[i], at);
   }
-  for (const auto& e : edges) {
-    g.connect(e.from.block, e.from.port, e.to.block, e.to.port,
-              e.propagation);
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    const EdgeSpec& e = edges[i];
+    const std::string who = "edges[" + std::to_string(i) + "]";
+    output_at(g, e.from, input_at(g, e.to, who), who, e.propagation);
   }
 }
 
@@ -488,7 +444,7 @@ void validate_workload(const TopologyFile& topo) {
 TopologyFile tcp_preset(WorkloadSpec w) {
   TopologyFile t;
   t.name = "tcp";
-  t.blocks.push_back({"cable", "monitor", 1, 1, MonitorConfig{}});
+  t.blocks.push_back({"cable", "monitor", MonitorConfig{}});
   w.ingress = w.egress = Endpoint{"cable", 0};
   t.workload = std::move(w);
   validate_workload(t);
@@ -533,13 +489,13 @@ TopologyTrial::TopologyTrial(const TopologyFile& topo,
   // an ideal cable.
   const WorkloadSpec& w = topo.workload;
   if (w.kind != WorkloadSpec::Kind::kNone) {
-    dev_.port(0).out_link().connect(g_.input(w.ingress.block, w.ingress.port));
-    g_.connect_output(w.egress.block, w.egress.port, dev_.port(1).rx());
+    dev_.port(0).out_link().connect(
+        input_at(g_, w.ingress, "workload.ingress"));
+    output_at(g_, w.egress, dev_.port(1).rx(), "workload.egress");
     if (w.ack_ingress) {
       dev_.port(1).out_link().connect(
-          g_.input(w.ack_ingress->block, w.ack_ingress->port));
-      g_.connect_output(w.ack_egress->block, w.ack_egress->port,
-                        dev_.port(0).rx());
+          input_at(g_, *w.ack_ingress, "workload.ack_ingress"));
+      output_at(g_, *w.ack_egress, dev_.port(0).rx(), "workload.ack_egress");
     } else {
       dev_.port(1).out_link().connect(dev_.port(0).rx());
     }

@@ -295,7 +295,10 @@ TEST(Burst, SourceBlockParses) {
   ASSERT_EQ(topo.blocks.size(), 2u);
   const graph::BlockSpec& src = topo.blocks[0];
   EXPECT_EQ(src.type, "burst_source");
-  EXPECT_EQ(src.num_inputs, 0u);
+  sim::Engine eng;
+  graph::Graph g{eng};
+  topo.build(eng, g, topo.seed);
+  EXPECT_EQ(g.block(0).num_inputs(), 0u);
   const PatternConfig& pattern =
       std::get<burst::BurstSourceConfig>(src.config).pattern;
   EXPECT_EQ(pattern.pattern, Pattern::kStrobe);

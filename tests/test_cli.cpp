@@ -202,7 +202,23 @@ INSTANTIATE_TEST_SUITE_P(
                   "--resolution"},
         Rejection{"throughput_negative_resolution",
                   "throughput --frame-size 64 --resolution -1",
-                  "--resolution"}),
+                  "--resolution"},
+        Rejection{"fleet_zero_leaves", "fleet --leaves 0", "--leaves"},
+        Rejection{"fleet_zero_spines", "fleet --spines 0", "--spines"},
+        Rejection{"fleet_negative_spines", "fleet --spines -1", "--spines"},
+        Rejection{"fleet_negative_per_leaf", "fleet --per-leaf -2",
+                  "--per-leaf"},
+        Rejection{"fleet_zero_frames", "fleet --frames 0", "--frames"},
+        Rejection{"fleet_negative_frames", "fleet --frames -1", "--frames"},
+        Rejection{"fleet_huge_frames", "fleet --frames 100001", "--frames"},
+        Rejection{"fleet_huge_leaves", "fleet --leaves 65537", "--leaves"},
+        Rejection{"fleet_too_many_testers",
+                  "fleet --leaves 256 --per-leaf 257", "--per-leaf"},
+        Rejection{"oflops_negative_table_size", "oflops --table-size -1",
+                  "--table-size"},
+        Rejection{"oflops_negative_rounds", "oflops --rounds -2",
+                  "--rounds"},
+        Rejection{"oflops_zero_rounds", "oflops --rounds 0", "--rounds"}),
     [](const auto& info) { return std::string(info.param.name); });
 
 TEST(OsntRun, LatencyAcceptsFrameSizeBounds) {

@@ -453,18 +453,13 @@ TEST(RateLimitFault, QueueCapRetimesFifoAndBucketBacklogs) {
   EXPECT_EQ(q.queue_frames(), orig);
 }
 
-/// What `osnt_run topo --validate-only` reports for a plan: the topology
-/// built on an engine that never runs, its targets resolved by the
-/// Injector. Empty when every target resolves.
+/// What `osnt_run topo --validate-only` reports for a plan: the error a
+/// trial's set-up throws, on an engine that never runs. Empty when every
+/// target resolves.
 std::string dry_run_error(const TopologyFile& topo,
                           const fault::FaultPlan& plan) {
-  sim::Engine eng;
-  graph::Graph g(eng);
-  topo.build(eng, g, topo.seed);
-  fault::Injector inj(eng, plan);
-  inj.attach_graph(g);
   try {
-    inj.check_targets();
+    graph::TopologyTrial trial(topo, topo.seed, 0, &plan);
   } catch (const fault::PlanError& e) {
     return e.what();
   }

@@ -590,6 +590,11 @@ int cmd_oflops(int argc, const char* const* argv) {
   cli.add_flag("faults", &faults_path,
                "JSON fault plan (ctrl_disconnect targets the control channel)");
   if (!cli.parse(argc, argv)) return cli.help_requested() ? 0 : 1;
+  // flowmod counts rounds after measuring one, so --rounds 0 would run 1.
+  if (!non_negative("table-size", static_cast<double>(table_size)) ||
+      !positive("rounds", static_cast<double>(rounds))) {
+    return 1;
+  }
 
   dut::OpenFlowSwitchConfig sw_cfg;
   sw_cfg.commit_base = 2 * kPicosPerMilli;
@@ -746,9 +751,8 @@ int cmd_topo(int argc, const char* const* argv) {
                "simulated duration (0 = the file's)");
   cli.add_flag("faults", &faults_path, "JSON fault plan to inject");
   cli.add_flag("validate-only", &validate_only,
-               "load the topology (and fault plan), build the graph without "
-               "running it, resolve fault targets, print the block table, "
-               "and exit");
+               "set up one trial (graph, workload, fault plan) without "
+               "running it, print the block table, and exit");
   cli.add_flag("trials", &trials, "independent trials (distinct seeds)");
   cli.add_flag("jobs", &jobs,
                "worker threads for the trials (0 = all hardware threads)");
@@ -795,27 +799,22 @@ int cmd_topo(int argc, const char* const* argv) {
                                                         : "none");
 
   if (validate_only) {
-    // Dry run: the file already parsed, wired and passed its workload
-    // checks. Build the graph on an engine that never runs and resolve
-    // the plan's block targets by the code arm() uses, so the dry run
-    // rejects exactly what the run would — cheap enough for CI to gate
-    // every plan/topology pair on.
+    // Dry run: one trial's own set-up (graph, workload endpoints, tcp
+    // workload, armed fault plan) on an engine that never runs, so it
+    // rejects exactly what each run's trial would, with the same words.
     try {
-      sim::Engine eng;
-      graph::Graph g{eng};
-      topo.build(eng, g, base_seed, duration);
-      fault::Injector inj(eng, fplan);
-      inj.attach_graph(g);
-      inj.check_targets();
+      graph::TopologyTrial trial(topo, base_seed, duration, &fplan);
+      std::printf("%-16s %-16s %7s %8s\n", "block", "type", "inputs",
+                  "outputs");
+      for (std::size_t i = 0; i < topo.blocks.size(); ++i) {
+        const graph::Block& b = trial.graph().block(i);
+        std::printf("%-16s %-16s %7zu %8zu\n", topo.blocks[i].name.c_str(),
+                    topo.blocks[i].type.c_str(), b.num_inputs(),
+                    b.num_outputs());
+      }
     } catch (const std::exception& e) {
       std::fprintf(stderr, "%s\n", e.what());
       return 1;
-    }
-    std::printf("%-16s %-16s %7s %8s\n", "block", "type", "inputs",
-                "outputs");
-    for (const auto& b : topo.blocks) {
-      std::printf("%-16s %-16s %7zu %8zu\n", b.name.c_str(), b.type.c_str(),
-                  b.num_inputs, b.num_outputs);
     }
     std::printf("ok: topology valid, workload valid%s\n",
                 fplan.events.empty() ? "" : ", fault targets resolved");
@@ -894,6 +893,16 @@ int cmd_fleet(int argc, const char* const* argv) {
   cli.add_flag("per-leaf", &per_leaf, "testers per leaf");
   cli.add_flag("frames", &frames, "probes per pair");
   if (!cli.parse(argc, argv)) return cli.help_requested() ? 0 : 1;
+  // tester_ip() packs the tester index into two octets (10.200.x.y), so
+  // leaves x per-leaf stays within 65536; the receiving tester captures
+  // every probe of a pair.
+  constexpr std::int64_t kMaxTesters = 65536, kMaxFrames = 100000;
+  if (!in_range("leaves", leaves, 1, kMaxTesters) ||
+      !in_range("spines", spines, 1, kMaxTesters) ||
+      !in_range("per-leaf", per_leaf, 1, kMaxTesters / leaves) ||
+      !in_range("frames", frames, 1, kMaxFrames)) {
+    return 1;
+  }
 
   sim::Engine eng;
   topo::FabricConfig cfg;
